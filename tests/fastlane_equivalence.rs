@@ -14,7 +14,10 @@ use rand::SeedableRng;
 
 use mccm::arch::{templates, AcceleratorSpec, BlockSpec, MultipleCeBuilder, Schedule};
 use mccm::cnn::{zoo, CnnModel};
-use mccm::core::{CostModel, EvalScratch, EvalSummary, ModelConfig, SegmentCost};
+use mccm::core::{
+    CeReport, CostModel, EvalScratch, EvalSummary, Evaluation, LayerReport, ModelConfig,
+    PipelineLatencyMode, SegmentCost, SegmentReport,
+};
 use mccm::dse::{
     sample_attempt, CustomDesign, CustomSampler, CustomSpace, DeltaContext, Explorer, SegCache,
 };
@@ -301,6 +304,183 @@ fn segment_recombination_matches_the_summary_lane_across_the_zoo() {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a over every field of a rich [`Evaluation`]: scalar
+/// summary fields (`f64`s by their bits) plus every segment, engine and
+/// layer record. Exhaustive destructuring makes a new report field a
+/// compile error here instead of a silent gap in the digest.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn evaluation(&mut self, e: &Evaluation) {
+        let Evaluation {
+            notation,
+            model_name,
+            board_name,
+            ce_count,
+            total_macs,
+            latency_s,
+            throughput_fps,
+            buffer_req_bytes,
+            buffer_alloc_bytes,
+            offchip_bytes,
+            offchip_weight_bytes,
+            offchip_fm_bytes,
+            memory_stall_fraction,
+            segments,
+            ces,
+            layers,
+        } = e;
+        self.str(notation);
+        self.str(model_name);
+        self.str(board_name);
+        self.u64(*ce_count as u64);
+        self.u64(total_macs.get());
+        self.f64(*latency_s);
+        self.f64(*throughput_fps);
+        self.u64(buffer_req_bytes.get());
+        self.u64(buffer_alloc_bytes.get());
+        self.u64(offchip_bytes.get());
+        self.u64(offchip_weight_bytes.get());
+        self.u64(offchip_fm_bytes.get());
+        self.f64(*memory_stall_fraction);
+        self.u64(segments.len() as u64);
+        for s in segments {
+            let SegmentReport {
+                index,
+                first,
+                last,
+                ces,
+                compute_s,
+                memory_s,
+                time_s,
+                weight_traffic,
+                fm_traffic,
+                buffer_req_bytes,
+                utilization,
+            } = s;
+            self.u64(*index as u64);
+            self.u64(*first as u64);
+            self.u64(*last as u64);
+            self.u64(ces.len() as u64);
+            for &ce in ces {
+                self.u64(ce as u64);
+            }
+            self.f64(*compute_s);
+            self.f64(*memory_s);
+            self.f64(*time_s);
+            self.u64(weight_traffic.get());
+            self.u64(fm_traffic.get());
+            self.u64(buffer_req_bytes.get());
+            self.f64(*utilization);
+        }
+        self.u64(ces.len() as u64);
+        for c in ces {
+            let CeReport {
+                ce,
+                pes,
+                busy_s,
+                utilization,
+            } = c;
+            self.u64(*ce as u64);
+            self.u64(u64::from(pes.get()));
+            self.f64(*busy_s);
+            self.f64(*utilization);
+        }
+        self.u64(layers.len() as u64);
+        for l in layers {
+            let LayerReport {
+                layer,
+                ce,
+                compute_cycles,
+                weight_traffic,
+                fm_load_traffic,
+                fm_store_traffic,
+                policy,
+                utilization,
+            } = l;
+            self.u64(*layer as u64);
+            self.u64(*ce as u64);
+            self.u64(compute_cycles.get());
+            self.u64(weight_traffic.get());
+            self.u64(fm_load_traffic.get());
+            self.u64(fm_store_traffic.get());
+            self.str(&format!("{policy:?}"));
+            self.f64(*utilization);
+        }
+    }
+}
+
+#[test]
+fn rich_lane_evaluations_match_the_pinned_digest() {
+    // Pins every field of the rich `Evaluation` — per-segment, per-engine
+    // and per-layer records included — over zoo × template × CE count ×
+    // schedule × ablation config. The lane-equality tests above compare
+    // two lanes that share one composition path; this digest is what
+    // catches a change in the values that path produces.
+    let configs = [
+        ModelConfig::default(),
+        ModelConfig::new().with_pipeline_latency(PipelineLatencyMode::LockstepStages),
+        ModelConfig::new().with_bandwidth_derate(0.6),
+    ];
+    let mut digest = Fnv::new();
+    let mut evaluated = 0usize;
+    for board in [FpgaBoard::zc706(), FpgaBoard::vcu110()] {
+        for model in every_zoo_model() {
+            let builder = MultipleCeBuilder::new(&model, &board);
+            for arch in templates::Architecture::ALL {
+                for ces in [2usize, 4, 7, 11] {
+                    for schedule in [
+                        Schedule::LayerByLayer,
+                        Schedule::DepthFirst { fuse_depth: 3 },
+                    ] {
+                        let Ok(spec) = arch.instantiate(&model, ces) else {
+                            continue;
+                        };
+                        let Ok(acc) = builder.build(&with_schedule(&spec, schedule)) else {
+                            continue;
+                        };
+                        for config in &configs {
+                            digest.evaluation(&CostModel::evaluate_with(&acc, config));
+                            evaluated += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(evaluated, 1008, "grid size changed");
+    assert_eq!(
+        digest.0, 0xf64b_45b3_6768_74fc,
+        "rich-lane digest moved: {:#018x}",
+        digest.0
+    );
 }
 
 /// The whole-design fast-lane outcome of a custom design (`None` =
