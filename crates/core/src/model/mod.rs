@@ -17,31 +17,30 @@
 //! * **Accesses** = Σ segment traffic (Eqs. 6/7/9), including the model
 //!   input load and output store.
 //!
-//! # Two evaluation lanes
+//! # One composition path, two outputs
 //!
-//! [`CostModel::evaluate`] (and `evaluate_with`) is the **rich-report
-//! lane**: it returns a full [`Evaluation`] with per-segment, per-engine,
-//! and per-layer breakdowns — the right lane for bottleneck analysis
-//! (Use Case 2) and one-off studies. [`CostModel::evaluate_summary`]
-//! (and `evaluate_summary_with`) is the **fast lane** for design-space
-//! sweeps: it produces only the scalar [`EvalSummary`], reusing the
-//! caller's [`EvalScratch`] buffers so the steady state performs no heap
-//! allocation beyond the summary's notation string. Both lanes run the
-//! exact same block-model cores, so the fast lane's summary is
-//! bit-identical to `evaluate(...).summary()`.
+//! Every evaluation runs each segment through its block-model core into a
+//! [`SegmentCost`], then composes the design with [`CostModel::recombine`].
+//! [`CostModel::evaluate_summary`] (and `evaluate_summary_with`) stops
+//! there: the scalar [`EvalSummary`] for design-space sweeps, reusing the
+//! caller's [`EvalScratch`] so the steady state allocates nothing beyond
+//! the summary's notation string. [`CostModel::evaluate`] (and
+//! `evaluate_with`) additionally records the cores' per-layer steps and
+//! decorates the same summary with per-segment, per-engine and per-layer
+//! breakdowns — the right output for bottleneck analysis (Use Case 2).
+//! The summary lane is therefore bit-identical to
+//! `evaluate(...).summary()` by construction.
 
 pub(crate) mod pipeline;
 pub(crate) mod single_ce;
-
-use std::collections::HashMap;
 
 use mccm_arch::{BuiltAccelerator, CeRole, Executor};
 
 use crate::config::ModelConfig;
 use crate::quantity::{Bandwidth, Bytes, Cycles, Macs, Pes};
 use crate::report::{CeReport, EvalSummary, Evaluation, SegmentReport};
-use pipeline::{eval_pipelined_round, eval_pipelined_round_core, PipeScratch};
-use single_ce::{eval_single_ce, eval_single_ce_core, BlockOutcome};
+use pipeline::{eval_pipelined_round, PipeScratch};
+use single_ce::{eval_single_ce, BlockTotals, LayerStep};
 
 /// The analytical cost model. Stateless: all inputs live in the
 /// [`BuiltAccelerator`].
@@ -75,18 +74,17 @@ pub struct CostModel;
 /// Reusable scratch buffers for the summary fast lane
 /// ([`CostModel::evaluate_summary`]).
 ///
-/// Holds the pipelined-block work arrays and the dense block-occupancy
-/// table that the rich lane keeps in per-call `Vec`s and `HashMap`s.
-/// Create one per sweep worker and pass it to every evaluation: after the
-/// first few designs the buffers reach steady-state capacity and the fast
-/// lane stops allocating entirely (the returned summary's notation string
-/// is the only remaining allocation).
+/// Holds the pipelined-block work arrays, the dense block-occupancy table
+/// of [`CostModel::recombine`] and the per-segment cost staging. Create
+/// one per sweep worker and pass it to every evaluation: after the first
+/// few designs the buffers reach steady-state capacity and the fast lane
+/// stops allocating entirely (the returned summary's notation string is
+/// the only remaining allocation).
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// Dense per-block occupancy accumulators, one per distinct executor
     /// CE set. Executor CE sets are always contiguous ranges, so
-    /// `(first_ce, len)` identifies a block exactly — no
-    /// `HashMap<Vec<usize>, _>` needed.
+    /// `(first_ce, len)` identifies a block exactly.
     blocks: Vec<BlockSlot>,
     /// Pipelined-block per-layer work arrays.
     pipe: PipeScratch,
@@ -175,145 +173,49 @@ impl CostModel {
 
     /// Evaluates under a non-default configuration (ablation modes,
     /// bandwidth derating).
+    ///
+    /// Every summary field comes from [`Self::recombine`] over the
+    /// segments' [`SegmentCost`]s, exactly as on the summary lane; this
+    /// function only records the cores' per-layer steps and adds the
+    /// per-segment, per-engine and per-layer breakdowns.
     pub fn evaluate_with(acc: &BuiltAccelerator, config: &ModelConfig) -> Evaluation {
         let cyc = acc.board.cycle_time_s();
-        let bw = Bandwidth::new(acc.board.bytes_per_cycle() * config.bandwidth_derate);
-        let n_segments = acc.segments.len();
-
-        let mut seg_reports = Vec::with_capacity(n_segments);
+        let mut scratch = EvalScratch::new();
+        let mut costs = Vec::with_capacity(acc.segments.len());
+        let mut segments = Vec::with_capacity(acc.segments.len());
         let mut layers = Vec::with_capacity(acc.convs.len());
-        let mut busy_cycles: Vec<Cycles> = vec![Cycles::ZERO; acc.ces.len()];
-        let mut ce_macs: Vec<Macs> = vec![Macs::ZERO; acc.ces.len()];
-        let mut latency_cycles = Cycles::ZERO;
-        let mut compute_cycles_total = Cycles::ZERO;
-        let mut total_w = Bytes::ZERO;
-        let mut total_fm = Bytes::ZERO;
-
-        // Block occupancy for coarse-pipelined throughput: keyed by the
-        // executor's CE set.
-        let mut occupancy: HashMap<Vec<usize>, Cycles> = HashMap::new();
-        let mut block_segments: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut block_max_busy: HashMap<Vec<usize>, Cycles> = HashMap::new();
+        let mut busy_cycles = vec![Cycles::ZERO; acc.ces.len()];
+        let mut ce_macs = vec![Macs::ZERO; acc.ces.len()];
 
         for seg in &acc.segments {
-            let input_off = seg.index == 0 || !acc.buffers.inter_segment[seg.index - 1].on_chip;
-            let output_off =
-                seg.index + 1 == n_segments || !acc.buffers.inter_segment[seg.index].on_chip;
-
-            let outcome: BlockOutcome = match &seg.executor {
-                Executor::SingleCe(ce) => eval_single_ce(
-                    acc,
-                    *ce,
-                    seg.schedule,
-                    seg.first,
-                    seg.last,
-                    input_off,
-                    output_off,
-                    bw,
-                ),
-                Executor::PipelinedCes(ces) => eval_pipelined_round(
-                    acc,
-                    ces,
-                    seg.first,
-                    seg.last,
-                    input_off,
-                    output_off,
-                    bw,
-                    config.pipeline_latency,
-                ),
-            };
-
-            let key = {
-                let mut k = seg.executor.ces();
-                k.sort_unstable();
-                k
-            };
-            *occupancy.entry(key.clone()).or_default() += outcome.time_cycles;
-            *block_segments.entry(key.clone()).or_default() += 1;
-            let round_busy = outcome
-                .busy_per_ce
-                .iter()
-                .map(|&(_, b)| b)
-                .max()
-                .unwrap_or(Cycles::ZERO);
-            let e = block_max_busy.entry(key).or_default();
-            *e = (*e).max(round_busy);
-
-            for &(ce, b) in &outcome.busy_per_ce {
-                busy_cycles[ce] += b;
-            }
-            for lr in &outcome.layers {
-                ce_macs[lr.ce] += Macs::new(acc.convs[lr.layer].macs);
-            }
-
-            let block_pes: Pes = seg
-                .executor
-                .ces()
-                .iter()
-                .map(|&c| Pes::new(acc.ces[c].pes))
-                .sum();
-            let utilization = if outcome.time_cycles.is_zero() {
+            let (cost, totals) = run_segment(acc, seg.index, config, &mut scratch.pipe, |step| {
+                busy_cycles[step.ce] += step.busy_cycles;
+                ce_macs[step.ce] += Macs::new(acc.convs[step.layer].macs);
+                layers.push(step.report(acc));
+            });
+            let ces = seg.executor.ces();
+            let block_pes: Pes = ces.iter().map(|&c| Pes::new(acc.ces[c].pes)).sum();
+            let utilization = if cost.time_cycles.is_zero() {
                 0.0
             } else {
-                outcome.useful_macs.as_f64() / (block_pes.as_f64() * outcome.time_cycles.as_f64())
+                totals.useful_macs.as_f64() / (block_pes.as_f64() * cost.time_cycles.as_f64())
             };
-
-            seg_reports.push(SegmentReport {
+            segments.push(SegmentReport {
                 index: seg.index,
                 first: seg.first,
                 last: seg.last,
-                ces: seg.executor.ces(),
-                compute_s: outcome.compute_cycles.to_seconds(cyc),
-                memory_s: outcome.memory_cycles.to_seconds(cyc),
-                time_s: outcome.time_cycles.to_seconds(cyc),
-                weight_traffic: outcome.weight_traffic,
-                fm_traffic: outcome.fm_traffic,
+                ces,
+                compute_s: cost.compute_cycles.to_seconds(cyc),
+                memory_s: totals.memory_cycles.to_seconds(cyc),
+                time_s: cost.time_cycles.to_seconds(cyc),
+                weight_traffic: cost.weight_traffic,
+                fm_traffic: cost.fm_traffic,
                 buffer_req_bytes: segment_buffer_req(acc, seg.index),
                 utilization,
             });
-
-            latency_cycles += outcome.time_cycles;
-            compute_cycles_total += outcome.compute_cycles;
-            total_w += outcome.weight_traffic;
-            total_fm += outcome.fm_traffic;
-            layers.extend(outcome.layers);
+            costs.push(cost);
         }
 
-        // Throughput (§IV-B1).
-        let bottleneck_cycles = if acc.coarse_pipeline() {
-            let block_bound = occupancy
-                .iter()
-                .map(|(key, &occ)| {
-                    // A single-segment pipelined block overlaps consecutive
-                    // images: its initiation interval is its bottleneck CE
-                    // busy time (Eq. 3), not the stage sum.
-                    let single_round = block_segments[key] == 1
-                        && key.iter().any(|&c| acc.ces[c].role == CeRole::Pipelined);
-                    if single_round {
-                        block_max_busy[key].max(Cycles::new(1))
-                    } else {
-                        occ
-                    }
-                })
-                .max()
-                .unwrap_or(latency_cycles);
-            // Coarse-pipelined blocks share the off-chip channel: the
-            // initiation interval cannot beat the per-image total traffic
-            // over the full bandwidth.
-            let mem_bound = bw.cycles_for(total_w + total_fm);
-            block_bound.max(mem_bound)
-        } else {
-            latency_cycles
-        };
-
-        let latency_s = latency_cycles.to_seconds(cyc);
-        let throughput_fps = if bottleneck_cycles.is_zero() {
-            0.0
-        } else {
-            1.0 / bottleneck_cycles.to_seconds(cyc)
-        };
-
-        let buffer_req_bytes = buffer_requirement(acc);
         let ces = acc
             .ces
             .iter()
@@ -332,28 +234,22 @@ impl CostModel {
             })
             .collect();
 
-        let memory_stall_fraction = if latency_cycles.is_zero() {
-            0.0
-        } else {
-            (latency_cycles - compute_cycles_total.min(latency_cycles)).as_f64()
-                / latency_cycles.as_f64()
-        };
-
+        let summary = Self::recombine(Self::design_coupling(acc, config), &costs, &mut scratch);
         Evaluation {
-            notation: acc.notation(),
+            notation: summary.notation,
             model_name: acc.model_name.to_string(),
             board_name: acc.board.name.clone(),
-            ce_count: acc.ce_count(),
-            total_macs: total_macs(acc),
-            latency_s,
-            throughput_fps,
-            buffer_req_bytes,
-            buffer_alloc_bytes: Bytes::new(acc.buffers.total_bytes()),
-            offchip_bytes: total_w + total_fm,
-            offchip_weight_bytes: total_w,
-            offchip_fm_bytes: total_fm,
-            memory_stall_fraction,
-            segments: seg_reports,
+            ce_count: summary.ce_count,
+            total_macs: summary.total_macs,
+            latency_s: summary.latency_s,
+            throughput_fps: summary.throughput_fps,
+            buffer_req_bytes: summary.buffer_req_bytes,
+            buffer_alloc_bytes: summary.buffer_alloc_bytes,
+            offchip_bytes: summary.offchip_bytes,
+            offchip_weight_bytes: summary.offchip_weight_bytes,
+            offchip_fm_bytes: summary.offchip_fm_bytes,
+            memory_stall_fraction: summary.memory_stall_fraction,
+            segments,
             ces,
             layers,
         }
@@ -363,9 +259,9 @@ impl CostModel {
     /// per-segment/per-engine/per-layer report construction, reusing the
     /// caller's scratch buffers across calls.
     ///
-    /// Bit-identical to `evaluate(acc).summary()` — both lanes run the
-    /// same block-model cores — but roughly an order of magnitude cheaper
-    /// per design, which is what large sweeps pay per candidate.
+    /// Bit-identical to `evaluate(acc).summary()` — both lanes compose
+    /// through [`Self::recombine`] — but roughly an order of magnitude
+    /// cheaper per design, which is what large sweeps pay per candidate.
     pub fn evaluate_summary(acc: &BuiltAccelerator, scratch: &mut EvalScratch) -> EvalSummary {
         Self::evaluate_summary_with(acc, &ModelConfig::default(), scratch)
     }
@@ -401,59 +297,7 @@ impl CostModel {
         config: &ModelConfig,
         scratch: &mut EvalScratch,
     ) -> SegmentCost {
-        let bw = Bandwidth::new(acc.board.bytes_per_cycle() * config.bandwidth_derate);
-        let n_segments = acc.segments.len();
-        let seg = &acc.segments[index];
-        let input_off = seg.index == 0 || !acc.buffers.inter_segment[seg.index - 1].on_chip;
-        let output_off =
-            seg.index + 1 == n_segments || !acc.buffers.inter_segment[seg.index].on_chip;
-
-        let (first_ce, ce_len, totals) = match &seg.executor {
-            Executor::SingleCe(ce) => (
-                *ce,
-                1usize,
-                eval_single_ce_core(
-                    acc,
-                    *ce,
-                    seg.schedule,
-                    seg.first,
-                    seg.last,
-                    input_off,
-                    output_off,
-                    bw,
-                    |_, _, _, _, _, _| {},
-                ),
-            ),
-            Executor::PipelinedCes(ces) => (
-                ces[0],
-                ces.len(),
-                eval_pipelined_round_core(
-                    acc,
-                    ces,
-                    seg.first,
-                    seg.last,
-                    input_off,
-                    output_off,
-                    bw,
-                    config.pipeline_latency,
-                    &mut scratch.pipe,
-                    |_, _, _, _, _, _, _| {},
-                ),
-            ),
-        };
-        let pipelined = acc.ces[first_ce..first_ce + ce_len]
-            .iter()
-            .any(|ce| ce.role == CeRole::Pipelined);
-        SegmentCost {
-            first_ce,
-            ce_len,
-            pipelined,
-            time_cycles: totals.time_cycles,
-            compute_cycles: totals.compute_cycles,
-            weight_traffic: totals.weight_traffic,
-            fm_traffic: totals.fm_traffic,
-            max_busy_cycles: totals.max_busy_cycles,
-        }
+        run_segment(acc, index, config, &mut scratch.pipe, |_| {}).0
     }
 
     /// The design-level [`DesignCoupling`] terms of a built accelerator —
@@ -478,9 +322,9 @@ impl CostModel {
     /// **Invariant (delta ≡ full ≡ rich):** for any built accelerator,
     /// `recombine(design_coupling(acc, cfg), &costs, scratch)` over the
     /// freshly computed `costs[i] = segment_cost(acc, i, cfg, scratch)`
-    /// is bit-identical to `evaluate_summary_with(acc, cfg, scratch)` —
-    /// which is itself bit-identical to the rich lane. Enforced by
-    /// `tests/fastlane_equivalence.rs`.
+    /// is bit-identical to `evaluate_summary_with(acc, cfg, scratch)` and
+    /// to the summary fields of the rich lane, which composes through this
+    /// same function. Enforced by `tests/fastlane_equivalence.rs`.
     pub fn recombine(
         coupling: DesignCoupling,
         costs: &[SegmentCost],
@@ -494,8 +338,7 @@ impl CostModel {
 
         for cost in costs {
             // Dense occupancy accumulation: executor CE sets are contiguous
-            // ranges, so (first_ce, len) is the block identity the rich lane
-            // keys its HashMap with (as the sorted CE vector).
+            // ranges, so (first_ce, len) identifies a block exactly.
             let slot = match scratch
                 .blocks
                 .iter_mut()
@@ -525,8 +368,8 @@ impl CostModel {
             total_fm += cost.fm_traffic;
         }
 
-        // Throughput (§IV-B1), same composition as the rich lane — the
-        // dense slots replace the HashMap, and `max` is order-independent.
+        // Throughput (§IV-B1): 1 / the largest block occupancy, bounded
+        // by the shared off-chip channel.
         let bottleneck_cycles = if coupling.coarse_pipeline {
             let block_bound = scratch
                 .blocks
@@ -587,8 +430,75 @@ impl CostModel {
     }
 }
 
+/// Runs segment `index` through its block-model core: the per-segment
+/// dispatch both lanes share. Computes the in/out off-chip boundary flags,
+/// dispatches on the executor and returns the segment's [`SegmentCost`]
+/// plus the core's [`BlockTotals`] (which also carry the memory cycles
+/// and useful MACs the rich lane reports). `on_layer` receives every
+/// layer's [`LayerStep`].
+fn run_segment(
+    acc: &BuiltAccelerator,
+    index: usize,
+    config: &ModelConfig,
+    pipe: &mut PipeScratch,
+    on_layer: impl FnMut(LayerStep),
+) -> (SegmentCost, BlockTotals) {
+    let bw = Bandwidth::new(acc.board.bytes_per_cycle() * config.bandwidth_derate);
+    let seg = &acc.segments[index];
+    let input_off = index == 0 || !acc.buffers.inter_segment[index - 1].on_chip;
+    let output_off = index + 1 == acc.segments.len() || !acc.buffers.inter_segment[index].on_chip;
+
+    let (first_ce, ce_len, totals) = match &seg.executor {
+        Executor::SingleCe(ce) => (
+            *ce,
+            1,
+            eval_single_ce(
+                acc,
+                *ce,
+                seg.schedule,
+                seg.first,
+                seg.last,
+                input_off,
+                output_off,
+                bw,
+                on_layer,
+            ),
+        ),
+        Executor::PipelinedCes(ces) => (
+            ces[0],
+            ces.len(),
+            eval_pipelined_round(
+                acc,
+                ces,
+                seg.first,
+                seg.last,
+                input_off,
+                output_off,
+                bw,
+                config.pipeline_latency,
+                pipe,
+                on_layer,
+            ),
+        ),
+    };
+    let pipelined = acc.ces[first_ce..first_ce + ce_len]
+        .iter()
+        .any(|ce| ce.role == CeRole::Pipelined);
+    let cost = SegmentCost {
+        first_ce,
+        ce_len,
+        pipelined,
+        time_cycles: totals.time_cycles,
+        compute_cycles: totals.compute_cycles,
+        weight_traffic: totals.weight_traffic,
+        fm_traffic: totals.fm_traffic,
+        max_busy_cycles: totals.max_busy_cycles,
+    };
+    (cost, totals)
+}
+
 /// Total convolution MACs of the accelerator's CNN — the compute-side
-/// energy input both lanes stamp into their reports (identical to
+/// energy input every summary carries (identical to
 /// `CnnModel::conv_macs` of the originating model).
 fn total_macs(acc: &BuiltAccelerator) -> Macs {
     acc.convs.iter().map(|c| Macs::new(c.macs)).sum()

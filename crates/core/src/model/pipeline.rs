@@ -16,11 +16,11 @@
 use mccm_arch::{BuiltAccelerator, CeRole};
 
 use crate::config::PipelineLatencyMode;
-use crate::model::single_ce::{BlockOutcome, BlockTotals};
+use crate::model::single_ce::{BlockTotals, LayerStep};
 use crate::quantity::{Bandwidth, Bytes, Cycles, Macs};
-use crate::report::{LayerReport, SpillPolicy};
+use crate::report::SpillPolicy;
 
-/// Reusable per-layer work arrays for [`eval_pipelined_round_core`]: one
+/// Reusable per-layer work arrays for [`eval_pipelined_round`]: one
 /// slot per layer of the round being evaluated, grown on demand and kept
 /// alive across rounds (and across designs, via
 /// [`EvalScratch`](crate::EvalScratch)) so the steady-state pipelined
@@ -41,68 +41,15 @@ pub(crate) struct PipeScratch {
 }
 
 /// Evaluates one pipelined round over layers `first..=last` running on
-/// `ces[j] = ces[layer - first]`.
+/// `ces[j] = ces[layer - first]`, without allocating: per-layer work
+/// arrays live in `scratch`, and `on_layer` receives every stage's
+/// [`LayerStep`].
 ///
-/// Returns a [`BlockOutcome`] whose `time_cycles` is the critical-path
-/// round time, lower-bounded by the round's total DMA time and the
-/// (double-buffered, TGPA-style) resident-weight prefetch.
+/// The returned `time_cycles` is the critical-path round time,
+/// lower-bounded by the round's total DMA time and the (double-buffered,
+/// TGPA-style) resident-weight prefetch.
 #[allow(clippy::too_many_arguments)]
-pub fn eval_pipelined_round(
-    acc: &BuiltAccelerator,
-    ces: &[usize],
-    first: usize,
-    last: usize,
-    input_off_chip: bool,
-    output_off_chip: bool,
-    bw: Bandwidth,
-    mode: PipelineLatencyMode,
-) -> BlockOutcome {
-    let n = last - first + 1;
-    let mut scratch = PipeScratch::default();
-    let mut layers = Vec::with_capacity(n);
-    let mut busy_per_ce = Vec::with_capacity(n);
-    let totals = eval_pipelined_round_core(
-        acc,
-        ces,
-        first,
-        last,
-        input_off_chip,
-        output_off_chip,
-        bw,
-        mode,
-        &mut scratch,
-        |l, ce, busy_pure, busy_eff, w_traffic, fm_load, fm_store| {
-            busy_per_ce.push((ce, busy_eff));
-            layers.push(LayerReport {
-                layer: l,
-                ce,
-                compute_cycles: busy_pure,
-                weight_traffic: w_traffic,
-                fm_load_traffic: fm_load,
-                fm_store_traffic: fm_store,
-                policy: SpillPolicy::None,
-                utilization: acc.ces[ce].utilization(acc.convs[l].dims),
-            });
-        },
-    );
-    BlockOutcome {
-        time_cycles: totals.time_cycles,
-        compute_cycles: totals.compute_cycles,
-        memory_cycles: totals.memory_cycles,
-        weight_traffic: totals.weight_traffic,
-        fm_traffic: totals.fm_traffic,
-        useful_macs: totals.useful_macs,
-        busy_per_ce,
-        layers,
-    }
-}
-
-/// Allocation-free core of the pipelined-CEs block model, shared by both
-/// evaluation lanes. Per-layer work arrays live in `scratch`; `on_layer`
-/// receives `(layer, ce, busy_pure, busy_eff, weight_traffic, fm_load,
-/// fm_store)` per stage, and the fast lane passes a no-op.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_pipelined_round_core(
+pub(crate) fn eval_pipelined_round(
     acc: &BuiltAccelerator,
     ces: &[usize],
     first: usize,
@@ -112,7 +59,7 @@ pub(crate) fn eval_pipelined_round_core(
     bw: Bandwidth,
     mode: PipelineLatencyMode,
     scratch: &mut PipeScratch,
-    mut on_layer: impl FnMut(usize, usize, Cycles, Cycles, Bytes, Bytes, Bytes),
+    mut on_layer: impl FnMut(LayerStep),
 ) -> BlockTotals {
     let n = last - first + 1;
     debug_assert_eq!(ces.len(), n, "one CE per layer in a round");
@@ -300,7 +247,16 @@ pub(crate) fn eval_pipelined_round_core(
         };
         out.weight_traffic += lw;
         out.fm_traffic += fm_load + fm_store;
-        on_layer(l, ces[j], busy_pure, busy_eff, lw, fm_load, fm_store);
+        on_layer(LayerStep {
+            layer: l,
+            ce: ces[j],
+            compute_cycles: busy_pure,
+            busy_cycles: busy_eff,
+            weight_traffic: lw,
+            fm_load_traffic: fm_load,
+            fm_store_traffic: fm_store,
+            policy: SpillPolicy::None,
+        });
     }
     out
 }
@@ -377,25 +333,52 @@ mod tests {
         MultipleCeBuilder::new(&m, &board).build(&spec).unwrap()
     }
 
+    /// Runs the core at the board's full bandwidth, collecting its
+    /// per-stage steps.
+    fn run(
+        acc: &BuiltAccelerator,
+        ces: &[usize],
+        first: usize,
+        last: usize,
+        input_off_chip: bool,
+        output_off_chip: bool,
+        mode: PipelineLatencyMode,
+    ) -> (BlockTotals, Vec<LayerStep>) {
+        let bw = Bandwidth::new(acc.board.bytes_per_cycle());
+        let mut steps = Vec::new();
+        let totals = eval_pipelined_round(
+            acc,
+            ces,
+            first,
+            last,
+            input_off_chip,
+            output_off_chip,
+            bw,
+            mode,
+            &mut PipeScratch::default(),
+            |step| steps.push(step),
+        );
+        (totals, steps)
+    }
+
     #[test]
     fn round_time_bounded_by_bottleneck_busy() {
         let acc = head_acc(FpgaBoard::zcu102(), 5);
         let ces = vec![0, 1, 2, 3];
-        let o = eval_pipelined_round(
+        let (o, steps) = run(
             &acc,
             &ces,
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         // Latency at least the slowest CE's total busy time (Eq. 3 bound).
-        let max_busy = o.busy_per_ce.iter().map(|&(_, b)| b).max().unwrap();
+        let max_busy = steps.iter().map(|s| s.busy_cycles).max().unwrap();
         assert!(o.time_cycles >= max_busy);
         // And the pure-compute path cannot exceed sequential execution.
-        let sum_busy: Cycles = o.layers.iter().map(|l| l.compute_cycles).sum();
+        let sum_busy: Cycles = steps.iter().map(|l| l.compute_cycles).sum();
         assert!(o.compute_cycles <= sum_busy);
     }
 
@@ -405,17 +388,16 @@ mod tests {
         // back to back on their own engines.
         let acc = head_acc(FpgaBoard::zcu102(), 7);
         let ces: Vec<usize> = (0..6).collect();
-        let o = eval_pipelined_round(
+        let (o, steps) = run(
             &acc,
             &ces,
             0,
             5,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
-        let sequential: Cycles = o.layers.iter().map(|l| l.compute_cycles).sum();
+        let sequential: Cycles = steps.iter().map(|l| l.compute_cycles).sum();
         assert!(
             o.compute_cycles < sequential,
             "pipelined {} vs sequential {sequential}",
@@ -427,17 +409,16 @@ mod tests {
     fn busy_counts_rows_times_tile_latency() {
         let acc = head_acc(FpgaBoard::zcu102(), 4);
         let ces = vec![0, 1, 2];
-        let o = eval_pipelined_round(
+        let (_, steps) = run(
             &acc,
             &ces,
             0,
             2,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
-        for (j, l) in o.layers.iter().enumerate() {
+        for (j, l) in steps.iter().enumerate() {
             let conv = &acc.convs[j];
             let poh = acc.ces[l.ce].parallelism.dims[2]
                 .max(1)
@@ -455,14 +436,13 @@ mod tests {
         // Generous BRAM: weights resident, each loaded once.
         let acc = head_acc(FpgaBoard::zcu102(), 5);
         let ces = vec![0, 1, 2, 3];
-        let o = eval_pipelined_round(
+        let (o, _) = run(
             &acc,
             &ces,
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         let w_once = Bytes::new((0..4).map(|l| acc.weight_bytes(l)).sum());
@@ -471,14 +451,13 @@ mod tests {
         // Tiny BRAM: weights streamed per row tile -> far more traffic.
         let tiny = FpgaBoard::new("tiny", 2520, MiB(0.05), 19.2);
         let acc = head_acc(tiny, 5);
-        let o2 = eval_pipelined_round(
+        let (o2, _) = run(
             &acc,
             &ces,
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         assert!(
@@ -492,24 +471,22 @@ mod tests {
     fn io_traffic_charged_at_boundaries() {
         let acc = head_acc(FpgaBoard::zcu102(), 5);
         let ces = vec![0, 1, 2, 3];
-        let both = eval_pipelined_round(
+        let (both, _) = run(
             &acc,
             &ces,
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
-        let neither = eval_pipelined_round(
+        let (neither, _) = run(
             &acc,
             &ces,
             0,
             3,
             false,
             false,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         assert_eq!(
@@ -523,14 +500,13 @@ mod tests {
         let slow = FpgaBoard::new("slow", 2520, MiB(0.05), 0.02);
         let acc = head_acc(slow, 5);
         let ces = vec![0, 1, 2, 3];
-        let o = eval_pipelined_round(
+        let (o, _) = run(
             &acc,
             &ces,
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         assert!(o.time_cycles > o.compute_cycles);
@@ -539,17 +515,16 @@ mod tests {
     #[test]
     fn single_layer_round_works() {
         let acc = head_acc(FpgaBoard::zcu102(), 5);
-        let o = eval_pipelined_round(
+        let (o, steps) = run(
             &acc,
             &[0],
             0,
             0,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
-        assert_eq!(o.layers.len(), 1);
+        assert_eq!(steps.len(), 1);
         assert!(!o.time_cycles.is_zero());
     }
 
@@ -561,18 +536,17 @@ mod tests {
         let acc = MultipleCeBuilder::new(&m, &FpgaBoard::zcu102())
             .build(&spec)
             .unwrap();
-        let o = eval_pipelined_round(
+        let (o, steps) = run(
             &acc,
             &[0, 1, 2, 3],
             0,
             3,
             true,
             true,
-            Bandwidth::new(acc.board.bytes_per_cycle()),
             PipelineLatencyMode::CriticalPath,
         );
         assert!(!o.useful_macs.is_zero());
-        assert!(o.time_cycles >= o.busy_per_ce.iter().map(|&(_, b)| b).max().unwrap());
+        assert!(o.time_cycles >= steps.iter().map(|s| s.busy_cycles).max().unwrap());
     }
 
     #[test]
@@ -580,25 +554,22 @@ mod tests {
         // The lockstep stage barrier can only add serialization.
         let acc = head_acc(FpgaBoard::zcu102(), 7);
         let ces: Vec<usize> = (0..6).collect();
-        let bpc = Bandwidth::new(acc.board.bytes_per_cycle());
-        let cp = eval_pipelined_round(
+        let (cp, _) = run(
             &acc,
             &ces,
             0,
             5,
             true,
             true,
-            bpc,
             PipelineLatencyMode::CriticalPath,
         );
-        let ls = eval_pipelined_round(
+        let (ls, _) = run(
             &acc,
             &ces,
             0,
             5,
             true,
             true,
-            bpc,
             PipelineLatencyMode::LockstepStages,
         );
         assert!(
@@ -625,17 +596,16 @@ mod tests {
         // bounded by the sequential sum.
         for seg in acc.segments.clone() {
             if let mccm_arch::Executor::PipelinedCes(ces) = &seg.executor {
-                let o = eval_pipelined_round(
+                let (o, steps) = run(
                     &acc,
                     ces,
                     seg.first,
                     seg.last,
                     true,
                     true,
-                    Bandwidth::new(acc.board.bytes_per_cycle()),
                     PipelineLatencyMode::CriticalPath,
                 );
-                let seq: Cycles = o.layers.iter().map(|l| l.compute_cycles).sum();
+                let seq: Cycles = steps.iter().map(|l| l.compute_cycles).sum();
                 assert!(o.compute_cycles <= seq + Cycles::new(1));
             }
         }

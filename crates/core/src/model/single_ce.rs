@@ -19,32 +19,10 @@ use mccm_arch::{
 use crate::quantity::{Bandwidth, Bytes, Cycles, Macs};
 use crate::report::{LayerReport, SpillPolicy};
 
-/// Evaluation of one block over one segment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockOutcome {
-    /// Contribution to latency (stalls included).
-    pub time_cycles: Cycles,
-    /// Pure compute cycles.
-    pub compute_cycles: Cycles,
-    /// Memory access cycles (as if serialized; overlap decided by `time`).
-    pub memory_cycles: Cycles,
-    /// Off-chip weight traffic.
-    pub weight_traffic: Bytes,
-    /// Off-chip feature-map traffic.
-    pub fm_traffic: Bytes,
-    /// Useful MACs performed.
-    pub useful_macs: Macs,
-    /// Busy cycles per participating CE (id, cycles).
-    pub busy_per_ce: Vec<(usize, Cycles)>,
-    /// Per-layer records.
-    pub layers: Vec<LayerReport>,
-}
-
-/// The scalar totals of one block evaluation — the subset of
-/// [`BlockOutcome`] the summary-only fast lane needs, produced without
-/// any heap allocation. Both lanes run the same block-model cores; the
-/// full lane additionally collects per-layer records through the cores'
-/// `on_layer` callbacks, so the two lanes cannot drift apart.
+/// The scalar totals of one block evaluation, produced without any heap
+/// allocation. Per-layer detail goes to the cores' `on_layer` callbacks
+/// as [`LayerStep`]s; the summary lane passes a no-op, the rich lane
+/// records reports, so both lanes run the same arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct BlockTotals {
     /// Contribution to latency (stalls included).
@@ -64,7 +42,48 @@ pub(crate) struct BlockTotals {
     pub max_busy_cycles: Cycles,
 }
 
-/// Evaluates a single-CE block over layers `first..=last` (Eq. 1, 4, 6).
+/// One layer's share of a block evaluation, as handed to the cores'
+/// `on_layer` callbacks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LayerStep {
+    /// Conv-layer index.
+    pub layer: usize,
+    /// CE that processed it.
+    pub ce: usize,
+    /// Eq. (1) compute cycles (a pipelined stage's unpaced busy time).
+    pub compute_cycles: Cycles,
+    /// Cycles the layer keeps its CE busy, memory pacing included. A
+    /// fused group's paced time lands on its last layer, so a CE's steps
+    /// always sum to its busy time.
+    pub busy_cycles: Cycles,
+    /// Off-chip weight traffic.
+    pub weight_traffic: Bytes,
+    /// Off-chip feature-map loads.
+    pub fm_load_traffic: Bytes,
+    /// Off-chip feature-map stores.
+    pub fm_store_traffic: Bytes,
+    /// Spill policy chosen by Eq. (6) (single-CE layers) or `None`.
+    pub policy: SpillPolicy,
+}
+
+impl LayerStep {
+    /// The rich lane's per-layer record of this step.
+    pub fn report(self, acc: &BuiltAccelerator) -> LayerReport {
+        LayerReport {
+            layer: self.layer,
+            ce: self.ce,
+            compute_cycles: self.compute_cycles,
+            weight_traffic: self.weight_traffic,
+            fm_load_traffic: self.fm_load_traffic,
+            fm_store_traffic: self.fm_store_traffic,
+            policy: self.policy,
+            utilization: acc.ces[self.ce].utilization(acc.convs[self.layer].dims),
+        }
+    }
+}
+
+/// Evaluates a single-CE block over layers `first..=last` (Eq. 1, 4, 6)
+/// without allocating; `on_layer` receives every layer's [`LayerStep`].
 ///
 /// `schedule` selects the block's execution order: layer-by-layer runs
 /// each layer to completion; depth-first fuses runs of `fuse_depth`
@@ -73,58 +92,6 @@ pub(crate) struct BlockTotals {
 /// segment's input FMs come from off-chip (model input or a spilled
 /// handoff). `output_off_chip`: the segment's final OFMs must be stored
 /// off-chip (model output or a spilled/double-buffered handoff).
-#[allow(clippy::too_many_arguments)]
-pub fn eval_single_ce(
-    acc: &BuiltAccelerator,
-    ce_id: usize,
-    schedule: Schedule,
-    first: usize,
-    last: usize,
-    input_off_chip: bool,
-    output_off_chip: bool,
-    bw: Bandwidth,
-) -> BlockOutcome {
-    let ce = &acc.ces[ce_id];
-    let mut layers = Vec::with_capacity(last - first + 1);
-    let totals = eval_single_ce_core(
-        acc,
-        ce_id,
-        schedule,
-        first,
-        last,
-        input_off_chip,
-        output_off_chip,
-        bw,
-        |l, compute, w_traffic, fm_load, fm_store, policy| {
-            layers.push(LayerReport {
-                layer: l,
-                ce: ce_id,
-                compute_cycles: compute,
-                weight_traffic: w_traffic,
-                fm_load_traffic: fm_load,
-                fm_store_traffic: fm_store,
-                policy,
-                utilization: ce.utilization(acc.convs[l].dims),
-            });
-        },
-    );
-    BlockOutcome {
-        time_cycles: totals.time_cycles,
-        compute_cycles: totals.compute_cycles,
-        memory_cycles: totals.memory_cycles,
-        weight_traffic: totals.weight_traffic,
-        fm_traffic: totals.fm_traffic,
-        useful_macs: totals.useful_macs,
-        // A single-CE block's engine is busy for the block's whole time.
-        busy_per_ce: vec![(ce_id, totals.time_cycles)],
-        layers,
-    }
-}
-
-/// Allocation-free core of the single-CE block model, shared by both the
-/// full [`eval_single_ce`] lane and the summary fast lane. `on_layer`
-/// receives `(layer, compute_cycles, weight_traffic, fm_load, fm_store,
-/// policy)` per layer; the fast lane passes a no-op.
 ///
 /// This is the single schedule-dispatch point of the cost model: layers
 /// are walked in fuse groups of `schedule.fuse_depth()` (layer-by-layer
@@ -134,7 +101,7 @@ pub fn eval_single_ce(
 /// the exact per-layer path — so `DepthFirst { fuse_depth: 1 }` is
 /// bit-identical to `LayerByLayer` by construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_single_ce_core(
+pub(crate) fn eval_single_ce(
     acc: &BuiltAccelerator,
     ce_id: usize,
     schedule: Schedule,
@@ -143,7 +110,7 @@ pub(crate) fn eval_single_ce_core(
     input_off_chip: bool,
     output_off_chip: bool,
     bw: Bandwidth,
-    mut on_layer: impl FnMut(usize, Cycles, Bytes, Bytes, Bytes, SpillPolicy),
+    mut on_layer: impl FnMut(LayerStep),
 ) -> BlockTotals {
     let ctx = StepCtx {
         acc,
@@ -208,7 +175,7 @@ fn layer_step(
     l: usize,
     ifm_on_chip: bool,
     out: &mut BlockTotals,
-    on_layer: &mut impl FnMut(usize, Cycles, Bytes, Bytes, Bytes, SpillPolicy),
+    on_layer: &mut impl FnMut(LayerStep),
 ) -> bool {
     let acc = ctx.acc;
     let conv = &acc.convs[l];
@@ -301,7 +268,16 @@ fn layer_step(
     out.weight_traffic += w_traffic;
     out.fm_traffic += fm_load + fm_store;
     out.useful_macs += Macs::new(conv.macs);
-    on_layer(l, compute, w_traffic, fm_load, fm_store, policy);
+    on_layer(LayerStep {
+        layer: l,
+        ce: ctx.ce.id,
+        compute_cycles: compute,
+        busy_cycles: time,
+        weight_traffic: w_traffic,
+        fm_load_traffic: fm_load,
+        fm_store_traffic: fm_store,
+        policy,
+    });
     ofm_stays
 }
 
@@ -321,7 +297,7 @@ fn fused_step(
     hi: usize,
     ifm_on_chip: bool,
     out: &mut BlockTotals,
-    on_layer: &mut impl FnMut(usize, Cycles, Bytes, Bytes, Bytes, SpillPolicy),
+    on_layer: &mut impl FnMut(LayerStep),
 ) -> bool {
     let acc = ctx.acc;
     let ifm_bytes = Bytes::new(acc.ifm_bytes(lo));
@@ -350,15 +326,18 @@ fn fused_step(
     out.fm_traffic += fm_load + fm_store;
     for l in lo..=hi {
         // Per-layer attribution: own compute and weights; the group's FM
-        // loads/stores land on its boundary layers.
-        on_layer(
-            l,
-            Cycles::new(ctx.ce.parallelism.latency_cycles(acc.convs[l].dims)),
-            Bytes::new(acc.weight_bytes(l)),
-            if l == lo { fm_load } else { Bytes::ZERO },
-            if l == hi { fm_store } else { Bytes::ZERO },
-            SpillPolicy::Fused,
-        );
+        // loads/stores land on its boundary layers, its paced time on
+        // its last layer.
+        on_layer(LayerStep {
+            layer: l,
+            ce: ctx.ce.id,
+            compute_cycles: Cycles::new(ctx.ce.parallelism.latency_cycles(acc.convs[l].dims)),
+            busy_cycles: if l == hi { time } else { Cycles::ZERO },
+            weight_traffic: Bytes::new(acc.weight_bytes(l)),
+            fm_load_traffic: if l == lo { fm_load } else { Bytes::ZERO },
+            fm_store_traffic: if l == hi { fm_store } else { Bytes::ZERO },
+            policy: SpillPolicy::Fused,
+        });
     }
     ofm_stays
 }
@@ -376,8 +355,30 @@ mod tests {
         MultipleCeBuilder::new(&m, &board).build(&spec).unwrap()
     }
 
-    fn bw_of(acc: &BuiltAccelerator) -> Bandwidth {
-        Bandwidth::new(acc.board.bytes_per_cycle())
+    /// Runs the core on CE 0 at the board's full bandwidth, collecting
+    /// its per-layer records.
+    fn run(
+        acc: &BuiltAccelerator,
+        schedule: Schedule,
+        first: usize,
+        last: usize,
+        input_off_chip: bool,
+        output_off_chip: bool,
+    ) -> (BlockTotals, Vec<LayerReport>) {
+        let bw = Bandwidth::new(acc.board.bytes_per_cycle());
+        let mut layers = Vec::new();
+        let totals = eval_single_ce(
+            acc,
+            0,
+            schedule,
+            first,
+            last,
+            input_off_chip,
+            output_off_chip,
+            bw,
+            |step| layers.push(step.report(acc)),
+        );
+        (totals, layers)
     }
 
     #[test]
@@ -386,25 +387,14 @@ mod tests {
         for mib in [0.2, 0.5, 4.0, 64.0] {
             let acc = single_ce_acc(FpgaBoard::new("b", 900, mccm_fpga::MiB(mib), 19.2));
             let n = acc.convs.len();
-            let lbl = eval_single_ce(
+            let lbl = run(&acc, Schedule::LayerByLayer, 0, n - 1, true, true);
+            let df1 = run(
                 &acc,
-                0,
-                Schedule::LayerByLayer,
-                0,
-                n - 1,
-                true,
-                true,
-                bw_of(&acc),
-            );
-            let df1 = eval_single_ce(
-                &acc,
-                0,
                 Schedule::DepthFirst { fuse_depth: 1 },
                 0,
                 n - 1,
                 true,
                 true,
-                bw_of(&acc),
             );
             assert_eq!(lbl, df1, "{mib} MiB");
         }
@@ -418,21 +408,18 @@ mod tests {
         // compute cycles.
         let acc = single_ce_acc(FpgaBoard::new("small", 900, mccm_fpga::MiB(0.5), 19.2));
         let n = acc.convs.len();
-        let bw = bw_of(&acc);
-        let lbl = eval_single_ce(&acc, 0, Schedule::LayerByLayer, 0, n - 1, true, true, bw);
-        let df = eval_single_ce(
+        let (lbl, _) = run(&acc, Schedule::LayerByLayer, 0, n - 1, true, true);
+        let (df, df_layers) = run(
             &acc,
-            0,
             Schedule::DepthFirst { fuse_depth: 2 },
             0,
             n - 1,
             true,
             true,
-            bw,
         );
         assert_eq!(df.compute_cycles, lbl.compute_cycles);
         assert!(
-            df.layers.iter().any(|l| l.policy == SpillPolicy::Fused),
+            df_layers.iter().any(|l| l.policy == SpillPolicy::Fused),
             "no group fused on the small board"
         );
         assert!(
@@ -449,17 +436,15 @@ mod tests {
     fn fused_groups_pay_traffic_only_at_boundaries() {
         let acc = single_ce_acc(FpgaBoard::new("small", 900, mccm_fpga::MiB(0.5), 19.2));
         let n = acc.convs.len();
-        let df = eval_single_ce(
+        let (_, layers) = run(
             &acc,
-            0,
             Schedule::DepthFirst { fuse_depth: 3 },
             0,
             n - 1,
             true,
             true,
-            bw_of(&acc),
         );
-        for group in df.layers.chunks(3) {
+        for group in layers.chunks(3) {
             if group.iter().all(|l| l.policy == SpillPolicy::Fused) {
                 // Interior layers of a fused group move no FMs off-chip.
                 for l in &group[1..group.len() - 1] {
@@ -478,15 +463,13 @@ mod tests {
     #[test]
     fn compute_cycles_match_eq1() {
         let acc = single_ce_acc(FpgaBoard::zcu102());
-        let o = eval_single_ce(
+        let (o, _) = run(
             &acc,
-            0,
             Schedule::LayerByLayer,
             0,
             acc.convs.len() - 1,
             true,
             true,
-            bw_of(&acc),
         );
         let expect: Cycles = acc
             .convs
@@ -504,20 +487,11 @@ mod tests {
         let board = FpgaBoard::new("big", 900, mccm_fpga::MiB(64.0), 19.2);
         let acc = single_ce_acc(board);
         let n = acc.convs.len();
-        let o = eval_single_ce(
-            &acc,
-            0,
-            Schedule::LayerByLayer,
-            0,
-            n - 1,
-            true,
-            true,
-            bw_of(&acc),
-        );
+        let (o, layers) = run(&acc, Schedule::LayerByLayer, 0, n - 1, true, true);
         let min = Bytes::new(acc.total_weight_bytes() + acc.ifm_bytes(0) + acc.ofm_bytes(n - 1));
         assert_eq!(o.weight_traffic + o.fm_traffic, min);
         // All mid layers keep FMs on chip.
-        assert!(o.layers[1..n - 1]
+        assert!(layers[1..n - 1]
             .iter()
             .all(|l| l.policy == SpillPolicy::None && l.fm_traffic().is_zero()));
     }
@@ -527,19 +501,10 @@ mod tests {
         let tiny = FpgaBoard::new("tiny", 900, mccm_fpga::MiB(0.2), 19.2);
         let acc = single_ce_acc(tiny);
         let n = acc.convs.len();
-        let o = eval_single_ce(
-            &acc,
-            0,
-            Schedule::LayerByLayer,
-            0,
-            n - 1,
-            true,
-            true,
-            bw_of(&acc),
-        );
+        let (o, layers) = run(&acc, Schedule::LayerByLayer, 0, n - 1, true, true);
         let min = Bytes::new(acc.total_weight_bytes() + acc.ifm_bytes(0) + acc.ofm_bytes(n - 1));
         assert!(o.weight_traffic + o.fm_traffic > min);
-        assert!(o.layers.iter().any(|l| l.policy != SpillPolicy::None));
+        assert!(layers.iter().any(|l| l.policy != SpillPolicy::None));
     }
 
     #[test]
@@ -548,15 +513,13 @@ mod tests {
         for mib in [0.2, 0.5, 1.0, 4.0, 16.0, 64.0] {
             let board = FpgaBoard::new("b", 900, mccm_fpga::MiB(mib), 19.2);
             let acc = single_ce_acc(board);
-            let o = eval_single_ce(
+            let (o, _) = run(
                 &acc,
-                0,
                 Schedule::LayerByLayer,
                 0,
                 acc.convs.len() - 1,
                 true,
                 true,
-                bw_of(&acc),
             );
             let t = o.weight_traffic + o.fm_traffic;
             assert!(
@@ -571,38 +534,27 @@ mod tests {
     fn boundary_store_forced() {
         let board = FpgaBoard::new("big", 900, mccm_fpga::MiB(64.0), 19.2);
         let acc = single_ce_acc(board);
-        let o = eval_single_ce(
-            &acc,
-            0,
-            Schedule::LayerByLayer,
-            0,
-            5,
-            false,
-            true,
-            bw_of(&acc),
-        );
+        let (_, layers) = run(&acc, Schedule::LayerByLayer, 0, 5, false, true);
         // Last layer must store its OFM.
         assert_eq!(
-            o.layers.last().unwrap().fm_store_traffic,
+            layers.last().unwrap().fm_store_traffic,
             Bytes::new(acc.ofm_bytes(5))
         );
         // On-chip input: no IFM load for the first layer.
-        assert!(o.layers[0].fm_traffic().is_zero());
+        assert!(layers[0].fm_traffic().is_zero());
     }
 
     #[test]
     fn low_bandwidth_makes_memory_bound_layers() {
         let slow = FpgaBoard::new("slow", 900, mccm_fpga::MiB(0.5), 0.4);
         let acc = single_ce_acc(slow);
-        let o = eval_single_ce(
+        let (o, _) = run(
             &acc,
-            0,
             Schedule::LayerByLayer,
             0,
             acc.convs.len() - 1,
             true,
             true,
-            bw_of(&acc),
         );
         assert!(o.time_cycles > o.compute_cycles);
         assert!(o.memory_cycles > o.compute_cycles);
@@ -616,24 +568,20 @@ mod tests {
         let m = zoo::resnet50();
         let spec = notation::parse("{L1-Last: CE1}").unwrap();
         let acc = MultipleCeBuilder::new(&m, &tiny).build(&spec).unwrap();
-        let o = eval_single_ce(
+        let (_, layers) = run(
             &acc,
-            0,
             Schedule::LayerByLayer,
             0,
             acc.convs.len() - 1,
             true,
             true,
-            bw_of(&acc),
         );
         // Late ResNet layers have big weights and small FMs: local-WS wins;
         // early layers the reverse. Both policies should appear.
-        let has_ws = o
-            .layers
+        let has_ws = layers
             .iter()
             .any(|l| l.policy == SpillPolicy::LocalWeightStationary);
-        let spills = o
-            .layers
+        let spills = layers
             .iter()
             .filter(|l| l.policy != SpillPolicy::None)
             .count();

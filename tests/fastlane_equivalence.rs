@@ -299,6 +299,26 @@ fn segment_recombination_matches_the_summary_lane_across_the_zoo() {
                         );
                         let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                         assert_eq!(recombined, fast, "{ctx}");
+                        // Per-segment contract: each rich SegmentReport is
+                        // its segment's SegmentCost at the board cycle time.
+                        let rich = CostModel::evaluate_with(&acc, &config);
+                        let cyc = acc.board.cycle_time_s();
+                        assert_eq!(rich.segments.len(), costs.len(), "{ctx}");
+                        for (report, cost) in rich.segments.iter().zip(&costs) {
+                            let ctx = format!("{ctx} / segment {}", report.index);
+                            assert_eq!(
+                                report.time_s.to_bits(),
+                                cost.time_cycles.to_seconds(cyc).to_bits(),
+                                "{ctx}"
+                            );
+                            assert_eq!(
+                                report.compute_s.to_bits(),
+                                cost.compute_cycles.to_seconds(cyc).to_bits(),
+                                "{ctx}"
+                            );
+                            assert_eq!(report.weight_traffic, cost.weight_traffic, "{ctx}");
+                            assert_eq!(report.fm_traffic, cost.fm_traffic, "{ctx}");
+                        }
                     }
                 }
             }
