@@ -453,7 +453,7 @@ impl MultipleCeBuilder {
     /// Propagates any builder fault other than [`ArchError::Infeasible`]
     /// — real bugs must not be silently reported as "infeasible" (the old
     /// code swallowed every error here via `.ok()`, mirroring the bug
-    /// fixed in `Explorer::sweep_baselines`).
+    /// fixed in `Explorer::par_sweep_baselines`).
     pub fn build_sweep(
         &self,
         specs: impl IntoIterator<Item = AcceleratorSpec>,

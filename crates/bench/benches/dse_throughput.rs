@@ -22,7 +22,7 @@ fn bench_custom_sampling(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(explorer.sample_custom(count, seed).unwrap())
+                black_box(explorer.par_sample_custom(count, seed, 1).unwrap())
             })
         });
     }
@@ -43,14 +43,18 @@ fn bench_lane_comparison(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(explorer.sample_custom(count, seed).unwrap())
+            black_box(explorer.par_sample_custom(count, seed, 1).unwrap())
         })
     });
     g.bench_function("summary_fast_lane", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(explorer.sample_custom_summaries(count, seed).unwrap())
+            black_box(
+                explorer
+                    .par_sample_custom_summaries(count, seed, 1)
+                    .unwrap(),
+            )
         })
     });
     g.finish();
@@ -63,7 +67,7 @@ fn bench_baseline_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("dse_baseline_sweep");
     g.sample_size(10);
     g.bench_function("mobilenetv2_2to11", |b| {
-        b.iter(|| black_box(explorer.sweep_baselines(2..=11).unwrap()))
+        b.iter(|| black_box(explorer.par_sweep_baselines(2..=11, 1).unwrap()))
     });
     g.finish();
 }
@@ -72,7 +76,7 @@ fn bench_selection_and_pareto(c: &mut Criterion) {
     let model = zoo::resnet50();
     let board = FpgaBoard::zcu102();
     let explorer = Explorer::new(&model, &board);
-    let sweep = explorer.sweep_baselines(2..=11).unwrap();
+    let sweep = explorer.par_sweep_baselines(2..=11, 1).unwrap();
     let evals: Vec<_> = sweep.iter().map(|p| p.eval.clone()).collect();
     c.bench_function("table5_selection", |b| {
         b.iter(|| black_box(select_all_metrics(black_box(&sweep), PAPER_TIE_FRAC)))

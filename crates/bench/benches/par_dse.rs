@@ -11,8 +11,8 @@ use mccm_core::Metric;
 use mccm_dse::{par_pareto_indices, CustomSpace, Explorer};
 use mccm_fpga::FpgaBoard;
 
-/// Sampled custom sweep on ResNet-50: serial `sample_custom_summaries`
-/// vs the sharded parallel twin at increasing worker counts.
+/// Sampled custom sweep on ResNet-50: `par_sample_custom_summaries`
+/// inline (`workers = 1`) vs sharded at increasing worker counts.
 fn bench_sampled_sweep(c: &mut Criterion) {
     let model = zoo::resnet50();
     let board = FpgaBoard::vcu108();
@@ -22,7 +22,7 @@ fn bench_sampled_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(COUNT as u64));
     g.bench_function("serial", |b| {
-        b.iter(|| black_box(explorer.sample_custom_summaries(COUNT, 5).unwrap()))
+        b.iter(|| black_box(explorer.par_sample_custom_summaries(COUNT, 5, 1).unwrap()))
     });
     for workers in [2usize, 4] {
         g.bench_function(BenchmarkId::new("workers", workers), |b| {

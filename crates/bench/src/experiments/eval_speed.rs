@@ -9,9 +9,9 @@
 //! * **baseline** — the pre-fast-lane per-design path, reconstructed:
 //!   parallelism memoization disabled, full [`CostModel::evaluate`] with
 //!   all report vectors, then [`mccm_core::Evaluation::summary`];
-//! * **fastlane** — [`Explorer::sample_custom_summaries`]: memoized
-//!   builds against the shared context plus the allocation-free
-//!   [`CostModel::evaluate_summary`].
+//! * **fastlane** — [`Explorer::par_sample_custom_summaries`] inline
+//!   (`workers = 1`): memoized builds against the shared context plus
+//!   the allocation-free [`CostModel::evaluate_summary`].
 //!
 //! Both lanes produce bit-identical summaries (asserted here), so the
 //! ratio is pure overhead removed, not model drift.
@@ -220,14 +220,14 @@ pub fn measure(count: usize, seed: u64) -> EvalSpeed {
     // Fast lane: the production sweep path, cold memo cache.
     let explorer = Explorer::new(&model, &board);
     let (points, elapsed) = explorer
-        .sample_custom_summaries(count, seed)
+        .par_sample_custom_summaries(count, seed, 1)
         .expect("xception custom space must yield enough feasible designs");
     let fastlane_s = elapsed.as_secs_f64();
 
     // Same sweep again on the now-warm memo cache: the steady-state
     // throughput a long-running sweep converges to.
     let (warm_points, warm_elapsed) = explorer
-        .sample_custom_summaries(count, seed)
+        .par_sample_custom_summaries(count, seed, 1)
         .expect("warm re-run samples the identical stream");
     let fastlane_warm_s = warm_elapsed.as_secs_f64();
     assert_eq!(

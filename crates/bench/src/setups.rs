@@ -28,7 +28,7 @@ pub fn boards() -> Vec<FpgaBoard> {
 /// the experiment harness treats those as bugs, not data.
 pub fn baseline_sweep(model: &CnnModel, board: &FpgaBoard) -> Vec<BaselinePoint> {
     Explorer::new(model, board)
-        .sweep_baselines(CE_RANGE)
+        .par_sweep_baselines(CE_RANGE, 1)
         .expect("baseline sweep hit a builder fault")
 }
 

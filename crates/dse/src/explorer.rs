@@ -4,19 +4,16 @@
 //! Every sampling entry point is attempt-capped (no more unbounded
 //! retry loops on infeasible spaces) and distinguishes genuinely
 //! infeasible designs — skipped — from real builder faults, which are
-//! propagated as [`ExploreError::Arch`]. The `par_*` twins of each sweep
-//! live in the [`crate::parallel`] machinery and return identical results
-//! for any worker count.
-
-use std::time::{Duration, Instant};
+//! propagated as [`crate::ExploreError::Arch`]. Each sweep has one
+//! entry point, in the [`crate::parallel`] machinery, taking a worker
+//! count: `workers = 1` runs inline on the calling thread, and every
+//! count returns identical results.
 
 use mccm_arch::{templates, AcceleratorSpec, ArchError, MultipleCeBuilder};
 use mccm_cnn::CnnModel;
 use mccm_core::{CostModel, EvalScratch, EvalSummary, Evaluation};
 use mccm_fpga::FpgaBoard;
 
-use crate::error::ExploreError;
-use crate::parallel;
 use crate::space::{CustomDesign, CustomSpace};
 
 /// One evaluated design.
@@ -52,7 +49,7 @@ pub struct CustomPoint {
 
 /// Default sampling attempt budget for `count` requested points: spaces
 /// where fewer than ~1/64 of draws are feasible fail fast with
-/// [`ExploreError::AttemptsExhausted`] instead of spinning forever.
+/// [`crate::ExploreError::AttemptsExhausted`] instead of spinning forever.
 pub fn default_max_attempts(count: usize) -> u64 {
     (count as u64).saturating_mul(64).max(1024)
 }
@@ -68,7 +65,7 @@ pub fn default_max_attempts(count: usize) -> u64 {
 ///
 /// let model = zoo::mobilenet_v2();
 /// let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-/// let baselines = explorer.sweep_baselines(2..=5).unwrap();
+/// let baselines = explorer.par_sweep_baselines(2..=5, 1).unwrap();
 /// assert_eq!(baselines.len(), 3 * 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -204,103 +201,6 @@ impl Explorer {
         }
     }
 
-    /// Evaluates every baseline architecture at every CE count in `range`
-    /// (infeasible combinations skipped) — the instance grid behind
-    /// Tables I/V and Figs. 5/8.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any builder fault other than [`ArchError::Infeasible`]
-    /// — real bugs must not be silently reported as "infeasible" (the old
-    /// code swallowed every error here).
-    pub fn sweep_baselines(
-        &self,
-        range: impl IntoIterator<Item = usize> + Clone,
-    ) -> Result<Vec<BaselinePoint>, ArchError> {
-        let mut out = Vec::new();
-        for architecture in templates::Architecture::ALL {
-            for ces in range.clone() {
-                if let Some(point) = self.baseline_cell(architecture, ces)? {
-                    out.push(point);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Samples and evaluates `count` custom designs (Use Case 3),
-    /// returning the points plus the total wall time — the quantity
-    /// behind the paper's "100000 designs in 10.5 minutes".
-    ///
-    /// The point set is a pure function of `(count, seed)` — the same set
-    /// the `par_sample_custom` twin produces for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::AttemptsExhausted`] when the default attempt
-    /// budget ([`default_max_attempts`]) runs out before `count` feasible
-    /// designs are found, [`ExploreError::Arch`] on real builder faults.
-    pub fn sample_custom(
-        &self,
-        count: usize,
-        seed: u64,
-    ) -> Result<(Vec<DesignPoint>, Duration), ExploreError> {
-        self.sample_custom_capped(count, seed, default_max_attempts(count))
-    }
-
-    /// [`Self::sample_custom`] with an explicit attempt budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sample_custom`], with `max_attempts` as the budget.
-    pub fn sample_custom_capped(
-        &self,
-        count: usize,
-        seed: u64,
-        max_attempts: u64,
-    ) -> Result<(Vec<DesignPoint>, Duration), ExploreError> {
-        let start = Instant::now();
-        let (points, attempts, _) = parallel::sample_engine(
-            self,
-            count,
-            seed,
-            1,
-            max_attempts,
-            &crate::CancelToken::new(),
-            &|e, d, _| e.custom_cell(d),
-        )?;
-        let points = parallel::finish(points, count, attempts)?;
-        Ok((points, start.elapsed()))
-    }
-
-    /// Samples `count` custom designs, keeping only the lean
-    /// [`EvalSummary`] per design — the memory-friendly form for big
-    /// sweeps, evaluated through the allocation-free summary fast lane.
-    /// Same point set (and bit-identical metrics) as
-    /// [`Self::sample_custom`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sample_custom`].
-    pub fn sample_custom_summaries(
-        &self,
-        count: usize,
-        seed: u64,
-    ) -> Result<(Vec<CustomPoint>, Duration), ExploreError> {
-        let start = Instant::now();
-        let (points, attempts, _) = parallel::sample_engine(
-            self,
-            count,
-            seed,
-            1,
-            default_max_attempts(count),
-            &crate::CancelToken::new(),
-            &|e, d, scratch| e.custom_summary_cell(d, scratch),
-        )?;
-        let points = parallel::finish(points, count, attempts)?;
-        Ok((points, start.elapsed()))
-    }
-
     /// The paper's custom space for this explorer's model (2–11 CEs).
     pub fn paper_space(&self) -> CustomSpace {
         CustomSpace::paper_range(self.model.conv_layer_count())
@@ -310,6 +210,7 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExploreError;
     use mccm_cnn::zoo;
     use mccm_core::Metric;
 
@@ -317,7 +218,7 @@ mod tests {
     fn baseline_sweep_covers_grid() {
         let m = zoo::resnet50();
         let e = Explorer::new(&m, &FpgaBoard::vcu108());
-        let points = e.sweep_baselines(2..=11).unwrap();
+        let points = e.par_sweep_baselines(2..=11, 1).unwrap();
         assert_eq!(points.len(), 30); // 3 architectures x 10 CE counts
         for p in &points {
             assert_eq!(p.eval.ce_count, p.ces);
@@ -355,7 +256,7 @@ mod tests {
     fn custom_sampling_produces_valid_points() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let (points, elapsed) = e.sample_custom(50, 9).unwrap();
+        let (points, elapsed) = e.par_sample_custom(50, 9, 1).unwrap();
         assert_eq!(points.len(), 50);
         assert!(elapsed.as_nanos() > 0);
         for p in &points {
@@ -368,8 +269,8 @@ mod tests {
     fn summaries_match_full_points() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (full, _) = e.sample_custom(25, 4).unwrap();
-        let (lean, _) = e.sample_custom_summaries(25, 4).unwrap();
+        let (full, _) = e.par_sample_custom(25, 4, 1).unwrap();
+        let (lean, _) = e.par_sample_custom_summaries(25, 4, 1).unwrap();
         assert_eq!(full.len(), lean.len());
         for (f, l) in full.iter().zip(&lean) {
             assert_eq!(f.eval.summary(), l.summary);
@@ -382,12 +283,12 @@ mod tests {
         // improve on at least one baseline metric.
         let m = zoo::xception();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let baselines = e.sweep_baselines(2..=11).unwrap();
+        let baselines = e.par_sweep_baselines(2..=11, 1).unwrap();
         let best_buffer = baselines
             .iter()
             .map(|p| Metric::OnChipBuffers.value(&p.eval))
             .fold(f64::INFINITY, f64::min);
-        let (points, _) = e.sample_custom(120, 11).unwrap();
+        let (points, _) = e.par_sample_custom(120, 11, 1).unwrap();
         let best_custom = points
             .iter()
             .map(|p| Metric::OnChipBuffers.value(&p.eval))
@@ -403,8 +304,8 @@ mod tests {
     fn sampling_is_deterministic() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (a, _) = e.sample_custom(20, 5).unwrap();
-        let (b, _) = e.sample_custom(20, 5).unwrap();
+        let (a, _) = e.par_sample_custom(20, 5, 1).unwrap();
+        let (b, _) = e.par_sample_custom(20, 5, 1).unwrap();
         let na: Vec<_> = a.iter().map(|p| p.eval.notation.clone()).collect();
         let nb: Vec<_> = b.iter().map(|p| p.eval.notation.clone()).collect();
         assert_eq!(na, nb);
@@ -413,20 +314,25 @@ mod tests {
     #[test]
     fn exhausted_attempt_budget_errors_instead_of_hanging() {
         // Regression: `while points.len() < count` used to spin forever
-        // when the space could not yield enough feasible designs.
+        // when the space could not yield enough feasible designs. A 1-DSP
+        // board cannot host even two CEs, so every draw is infeasible and
+        // the default budget must run out, inline and sharded alike.
         let m = zoo::mobilenet_v2();
-        let e = Explorer::new(&m, &FpgaBoard::zc706());
-        match e.sample_custom_capped(100, 1, 5) {
-            Err(ExploreError::AttemptsExhausted {
-                wanted,
-                got,
-                attempts,
-            }) => {
-                assert_eq!(wanted, 100);
-                assert!(got <= 5);
-                assert!(attempts <= 5);
+        let tiny = FpgaBoard::new("tiny", 1, mccm_fpga::MiB(0.5), 1.0);
+        let e = Explorer::new(&m, &tiny);
+        for workers in [1usize, 4] {
+            match e.par_sample_custom(100, 1, workers) {
+                Err(ExploreError::AttemptsExhausted {
+                    wanted,
+                    got,
+                    attempts,
+                }) => {
+                    assert_eq!(wanted, 100);
+                    assert_eq!(got, 0);
+                    assert_eq!(attempts, default_max_attempts(100));
+                }
+                other => panic!("expected AttemptsExhausted at workers={workers}, got {other:?}"),
             }
-            other => panic!("expected AttemptsExhausted, got {other:?}"),
         }
     }
 }

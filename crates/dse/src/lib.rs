@@ -8,18 +8,19 @@
 //! custom Hybrid-head/Segmented-tail space whose fast evaluation the paper
 //! showcases (Fig. 10: 100 000 designs in minutes).
 //!
-//! Every sweep has a sharded, multi-threaded `par_*` twin that returns
-//! bit-identical results for any worker count (see [`crate::Explorer`]
-//! and the `parallel` module docs), and the custom space supports full
-//! lexicographic enumeration with rank/unrank for contiguous sharding
-//! ([`CustomSpace::designs`], [`CustomSpace::shards`]).
+//! Each sweep has one entry point per lane, taking a worker count:
+//! `workers = 1` runs inline on the calling thread, `0` uses one thread
+//! per core, and every count returns bit-identical results (see
+//! [`crate::Explorer`] and the `parallel` module docs). The custom space
+//! supports full lexicographic enumeration with rank/unrank for
+//! contiguous sharding ([`CustomSpace::designs`], [`CustomSpace::shards`]).
 //!
-//! The `*_summaries` sweeps (and `par_evaluate_space`) run on the
+//! `par_sample_custom_summaries` (and `par_evaluate_space`) run on the
 //! **summary fast lane**: per-worker `EvalScratch` buffers feed
 //! `CostModel::evaluate_summary`, whose output is bit-identical to
 //! `evaluate(...).summary()` but skips all report construction — the
-//! rich [`DesignPoint`] sweeps remain available when per-segment /
-//! per-layer breakdowns are needed.
+//! rich lane, `par_sample_custom`, returns [`DesignPoint`]s when
+//! per-segment / per-layer breakdowns are needed.
 //!
 //! ```
 //! use mccm_cnn::zoo;
@@ -29,7 +30,7 @@
 //! let model = zoo::mobilenet_v2();
 //! let explorer = Explorer::new(&model, &FpgaBoard::zc706());
 //! let sweep = explorer.par_sweep_baselines(2..=11, 2).unwrap();
-//! assert_eq!(sweep.len(), explorer.sweep_baselines(2..=11).unwrap().len());
+//! assert_eq!(sweep, explorer.par_sweep_baselines(2..=11, 1).unwrap());
 //! for cell in select_all_metrics(&sweep, PAPER_TIE_FRAC) {
 //!     assert!(!cell.winners.is_empty());
 //! }

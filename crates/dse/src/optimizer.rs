@@ -46,7 +46,7 @@ use crate::segcache::{CacheStats, DeltaContext, DesignKey, DesignMemo, SegCache}
 use crate::space::{CustomDesign, CustomSpace};
 use mccm_core::CancelToken;
 
-/// Configuration of [`Explorer::optimize`].
+/// Configuration of [`Explorer::optimize_par`].
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Objectives to minimize/maximize (per [`Metric::higher_is_better`]).
@@ -164,7 +164,7 @@ impl OptimizerConfig {
 
     /// Checks the configuration is runnable — the typed pre-flight check
     /// machine-supplied configs (scenario files, request payloads) go
-    /// through before [`Explorer::optimize`], whose own guards are
+    /// through before [`Explorer::optimize_par`], whose own guards are
     /// panics reserved for programmer error.
     ///
     /// # Errors
@@ -323,7 +323,7 @@ impl Island {
 
     /// Fills the initial population from this island's counter-based
     /// sampling stream (the same generator behind
-    /// [`Explorer::sample_custom_summaries`]).
+    /// [`Explorer::par_sample_custom_summaries`]).
     fn initialize(
         &mut self,
         explorer: &Explorer,
@@ -574,8 +574,11 @@ fn environmental_select(
 }
 
 impl Explorer {
-    /// Guided multi-objective search over the paper's custom space (serial
-    /// twin of [`Self::optimize_par`]).
+    /// Guided multi-objective search over the paper's custom space with
+    /// `workers` threads (`0` = one per core, `1` inline). Threads
+    /// parallelize across islands; the returned front is **bit-identical
+    /// for any worker count** — the same determinism contract as every
+    /// sweep.
     ///
     /// # Errors
     ///
@@ -586,22 +589,6 @@ impl Explorer {
     ///
     /// On degenerate configs: empty metric set, `population < 4`, or
     /// `islands == 0`.
-    pub fn optimize(&self, config: &OptimizerConfig) -> Result<GuidedFront, ExploreError> {
-        self.optimize_par(config, 1)
-    }
-
-    /// Guided multi-objective search with `workers` threads (`0` = one per
-    /// core). Threads parallelize across islands; the returned front is
-    /// **bit-identical for any worker count** — the same determinism
-    /// contract as every `par_*` sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::optimize`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::optimize`].
     pub fn optimize_par(
         &self,
         config: &OptimizerConfig,
@@ -613,8 +600,10 @@ impl Explorer {
     /// [`Self::optimize_par`] with a cooperative [`CancelToken`], polled
     /// at generation and epoch boundaries. When the token fires the
     /// search stops early and returns the merged front of everything
-    /// evaluated so far with [`GuidedFront::cancelled`] set — a partial
-    /// but honest result, never an error.
+    /// evaluated so far — a partial but honest result, never an error.
+    /// [`GuidedFront::cancelled`] is set only when an island still had
+    /// budget, so a search that spent its budget before the token fired
+    /// is not reported as cancelled.
     ///
     /// A token that never fires changes nothing: the run takes exactly
     /// the un-cancelled code path, so results stay bit-identical to
@@ -622,11 +611,11 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// As [`Self::optimize`].
+    /// As [`Self::optimize_par`].
     ///
     /// # Panics
     ///
-    /// As [`Self::optimize`].
+    /// As [`Self::optimize_par`].
     pub fn optimize_par_cancellable(
         &self,
         config: &OptimizerConfig,
@@ -693,6 +682,7 @@ impl Explorer {
             }
         }
 
+        let cancelled = cancel.is_cancelled() && islands.iter().any(|i| i.budget > 0);
         let mut merged = ParetoFront::new(&metrics);
         let mut evaluations = 0u64;
         let mut feasible = 0u64;
@@ -726,7 +716,7 @@ impl Explorer {
             evaluations,
             feasible,
             elapsed: start.elapsed(),
-            cancelled: cancel.is_cancelled(),
+            cancelled,
             cache,
         })
     }
@@ -876,7 +866,7 @@ mod tests {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
         let cfg = small_config();
-        let f = e.optimize(&cfg).unwrap();
+        let f = e.optimize_par(&cfg, 1).unwrap();
         assert!(!f.points.is_empty());
         assert!(f.evaluations <= cfg.budget);
         assert!(f.feasible > 0 && f.feasible <= f.evaluations);
@@ -895,8 +885,8 @@ mod tests {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
         let cfg = small_config();
-        let serial = e.optimize(&cfg).unwrap();
-        let rerun = e.optimize(&cfg).unwrap();
+        let serial = e.optimize_par(&cfg, 1).unwrap();
+        let rerun = e.optimize_par(&cfg, 1).unwrap();
         assert_eq!(
             front_key(&serial),
             front_key(&rerun),
@@ -926,6 +916,11 @@ mod tests {
         assert!(f.cancelled, "a pre-fired token must label the front");
         assert_eq!(f.evaluations, 0, "no work after cancellation");
         assert!(f.points.is_empty());
+        // A zero budget leaves no island work to skip: not a cancellation.
+        let spent = e
+            .optimize_par_cancellable(&small_config().with_budget(0), 2, &cancel)
+            .unwrap();
+        assert!(!spent.cancelled, "no budget left means nothing was skipped");
     }
 
     #[test]
@@ -951,8 +946,11 @@ mod tests {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
         let cfg = small_config().with_max_fuse_depth(3);
-        let serial = e.optimize(&cfg).unwrap();
-        assert_eq!(front_key(&serial), front_key(&e.optimize(&cfg).unwrap()));
+        let serial = e.optimize_par(&cfg, 1).unwrap();
+        assert_eq!(
+            front_key(&serial),
+            front_key(&e.optimize_par(&cfg, 1).unwrap())
+        );
         for workers in [2usize, 5] {
             let par = e.optimize_par(&cfg, workers).unwrap();
             assert_eq!(
@@ -963,7 +961,7 @@ mod tests {
         }
         // And the axis must actually change the search relative to the
         // layer-by-layer-only run under the same seed.
-        let lbl = e.optimize(&small_config()).unwrap();
+        let lbl = e.optimize_par(&small_config(), 1).unwrap();
         assert_ne!(front_key(&serial), front_key(&lbl));
     }
 
@@ -985,8 +983,10 @@ mod tests {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
         for cfg in [small_config(), small_config().with_max_fuse_depth(3)] {
-            let full = e.optimize(&cfg.clone().with_delta_eval(false)).unwrap();
-            let delta = e.optimize(&cfg).unwrap();
+            let full = e
+                .optimize_par(&cfg.clone().with_delta_eval(false), 1)
+                .unwrap();
+            let delta = e.optimize_par(&cfg, 1).unwrap();
             assert_eq!(front_key(&full), front_key(&delta));
             assert_eq!(full.evaluations, delta.evaluations);
             assert_eq!(full.feasible, delta.feasible);
@@ -1012,7 +1012,7 @@ mod tests {
         // no evaluation attempt may be wasted on an infeasible design.
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let f = e.optimize(&small_config()).unwrap();
+        let f = e.optimize_par(&small_config(), 1).unwrap();
         assert!(f.evaluations > 0);
         assert_eq!(
             f.feasible, f.evaluations,
@@ -1024,8 +1024,8 @@ mod tests {
     fn different_seeds_explore_differently() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let a = e.optimize(&small_config().with_seed(1)).unwrap();
-        let b = e.optimize(&small_config().with_seed(2)).unwrap();
+        let a = e.optimize_par(&small_config().with_seed(1), 1).unwrap();
+        let b = e.optimize_par(&small_config().with_seed(2), 1).unwrap();
         assert_ne!(front_key(&a), front_key(&b));
     }
 
@@ -1039,13 +1039,13 @@ mod tests {
         let cfg = small_config()
             .with_metrics(&[Metric::Throughput])
             .with_islands(2);
-        let f = e.optimize(&cfg).unwrap();
+        let f = e.optimize_par(&cfg, 1).unwrap();
         // A single-objective front holds only exactly-tied best designs.
         let guided_best = f.best(Metric::Throughput).unwrap();
         for p in &f.points {
             assert_eq!(p.summary.throughput_fps, guided_best);
         }
-        let (random, _) = e.sample_custom_summaries(64, 9).unwrap();
+        let (random, _) = e.par_sample_custom_summaries(64, 9, 1).unwrap();
         let random_best = random
             .iter()
             .map(|p| p.summary.throughput_fps)
@@ -1065,6 +1065,6 @@ mod tests {
             metrics: vec![],
             ..OptimizerConfig::default()
         };
-        let _ = e.optimize(&cfg);
+        let _ = e.optimize_par(&cfg, 1);
     }
 }

@@ -1,8 +1,10 @@
 //! Parallel, sharded design-space sweeps over `std::thread::scope`.
 //!
-//! Every `par_*` entry point is **worker-count invariant**: it returns
-//! exactly the designs (in exactly the order) its serial twin returns.
-//! Three mechanisms make that hold:
+//! Each sweep has one entry point, taking a worker count (`0` = one per
+//! core); `workers = 1` runs inline on the calling thread. Every entry
+//! point is **worker-count invariant**: it returns exactly the designs (in
+//! exactly the order) the inline run returns. Three mechanisms make that
+//! hold:
 //!
 //! * sampled sweeps draw each design from a counter-based RNG stream
 //!   ([`crate::sample_attempt`]) — the design of attempt `a` is a pure
@@ -36,7 +38,7 @@ pub const EXHAUSTIVE_LIMIT: u128 = 1 << 20;
 
 /// The per-design evaluation hook of [`sample_engine`]: `Ok(Some(T))`
 /// feasible, `Ok(None)` infeasible (skipped), `Err` a real fault. The
-/// [`EvalScratch`] is per-worker (one per thread, one for the serial
+/// [`EvalScratch`] is per-worker (one per thread, one for the inline
 /// path), so summary-lane hooks evaluate without steady-state allocation;
 /// full-lane hooks simply ignore it.
 type EvalFn<'a, T> =
@@ -67,6 +69,28 @@ fn chunk_bounds(len: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// Runs `job` once per `(lo, hi)` range and returns the results in range
+/// order: inline for a single range, else one scoped thread per range.
+fn run_ranges<B: Copy + Send, R: Send>(
+    ranges: &[(B, B)],
+    job: impl Fn(B, B) -> R + Sync,
+) -> Vec<R> {
+    if ranges.len() <= 1 {
+        return ranges.iter().map(|&(lo, hi)| job(lo, hi)).collect();
+    }
+    let job = &job;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|&(lo, hi)| s.spawn(move || job(lo, hi)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    })
+}
+
 /// The result of one cancellable sampling sweep: the feasible designs
 /// found (all of them in the un-cancelled case, a prefix otherwise), the
 /// attempt-stream position reached, and whether cancellation cut the
@@ -79,31 +103,33 @@ pub struct SampleRun<T> {
     pub points: Vec<T>,
     /// Attempts consumed from the counter-based stream (feasible or not).
     pub attempts: u64,
-    /// Whether the sweep stopped early because its token fired.
+    /// Whether the token fired before `count` feasible designs were found.
     pub cancelled: bool,
     /// Wall time of the sweep.
     pub elapsed: Duration,
 }
 
-/// The shared sampling engine behind `sample_custom` and its parallel
-/// twin: walks the counter-based attempt stream, keeps the first `count`
-/// feasible designs in attempt order, and caps total attempts.
+/// The shared sampling engine behind every sampled sweep: walks the
+/// counter-based attempt stream, keeps the first `count` feasible designs
+/// in attempt order, and caps total attempts at
+/// [`default_max_attempts`]`(count)`.
 ///
 /// `eval` maps a drawn design to `Ok(Some(T))` (feasible), `Ok(None)`
 /// (infeasible — skipped), or `Err` (a real fault — propagated). With
 /// `workers <= 1` everything runs inline on the calling thread.
 ///
-/// The cancel token is polled at attempt boundaries (serial) and batch /
+/// The cancel token is polled at attempt boundaries (inline) and batch /
 /// per-design boundaries (parallel); a token that never fires leaves the
 /// attempt walk — and therefore the result — bit-identical. On
 /// cancellation the engine returns the feasible prefix found so far
-/// instead of erroring.
+/// instead of erroring; the returned flag is set only when that prefix
+/// is short of `count`, so a sweep that finished before the token fired
+/// is not reported as cancelled.
 pub(crate) fn sample_engine<T: Send>(
     explorer: &Explorer,
     count: usize,
     seed: u64,
     workers: usize,
-    max_attempts: u64,
     cancel: &CancelToken,
     eval: EvalFn<'_, T>,
 ) -> Result<(Vec<T>, u64, bool), ExploreError> {
@@ -111,75 +137,61 @@ pub(crate) fn sample_engine<T: Send>(
     // Reject degenerate spaces up front (same panics as direct sampling).
     let _ = CustomSampler::new(space, seed);
     let workers = resolve_workers(workers);
+    let max_attempts = default_max_attempts(count);
     let mut points: Vec<T> = Vec::new();
-
+    let mut next_attempt = 0u64;
     if workers <= 1 {
         let mut scratch = EvalScratch::new();
-        let mut attempt = 0u64;
-        while points.len() < count && attempt < max_attempts && !cancel.is_cancelled() {
-            let design = sample_attempt(&space, seed, attempt);
+        while points.len() < count && next_attempt < max_attempts && !cancel.is_cancelled() {
+            let design = sample_attempt(&space, seed, next_attempt);
             if let Some(t) = eval(explorer, &design, &mut scratch)? {
                 points.push(t);
             }
-            attempt += 1;
+            next_attempt += 1;
         }
-        return Ok((points, attempt, cancel.is_cancelled()));
-    }
-
-    let mut next_attempt = 0u64;
-    while points.len() < count && next_attempt < max_attempts && !cancel.is_cancelled() {
-        let need = (count - points.len()) as u64;
-        // Slight over-provisioning absorbs the (usually small) infeasible
-        // fraction; any overshoot past the count-th success is discarded,
-        // so the batch size never changes the result.
-        let batch = (need + need / 16 + 16)
-            .max(workers as u64 * 8)
-            .min(max_attempts - next_attempt);
-        let batch = usize::try_from(batch)
-            .expect("batch is bounded by the remaining sample count, a usize");
-        let chunks = chunk_bounds(batch, workers);
-        let chunk_results: Vec<Vec<Result<Option<T>, ArchError>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(lo, hi)| {
-                    let base = next_attempt;
-                    s.spawn(move || {
-                        let mut scratch = EvalScratch::new();
-                        (base + lo as u64..base + hi as u64)
-                            .map(|a| {
-                                // A fired token skips the remaining
-                                // evaluations; skipped attempts read as
-                                // infeasible, and the batch loop exits on
-                                // the same token before drawing more.
-                                if cancel.is_cancelled() {
-                                    return Ok(None);
-                                }
-                                eval(explorer, &sample_attempt(&space, seed, a), &mut scratch)
-                            })
-                            .collect()
+    } else {
+        while points.len() < count && next_attempt < max_attempts && !cancel.is_cancelled() {
+            let need = (count - points.len()) as u64;
+            // Slight over-provisioning absorbs the (usually small) infeasible
+            // fraction; any overshoot past the count-th success is discarded,
+            // so the batch size never changes the result.
+            let batch = (need + need / 16 + 16)
+                .max(workers as u64 * 8)
+                .min(max_attempts - next_attempt);
+            let batch = usize::try_from(batch)
+                .expect("batch is bounded by the remaining sample count, a usize");
+            let base = next_attempt;
+            let chunk_results = run_ranges(&chunk_bounds(batch, workers), |lo, hi| {
+                let mut scratch = EvalScratch::new();
+                (base + lo as u64..base + hi as u64)
+                    .map(|a| {
+                        // A fired token skips the remaining evaluations;
+                        // skipped attempts read as infeasible, and the batch
+                        // loop exits on the same token before drawing more.
+                        if cancel.is_cancelled() {
+                            return Ok(None);
+                        }
+                        eval(explorer, &sample_attempt(&space, seed, a), &mut scratch)
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        // Chunks are contiguous and concatenated in order, so this scan
-        // replays the exact serial attempt order; outcomes past the
-        // count-th success (including faults) are ignored, as a serial
-        // walk would never have reached them.
-        for outcome in chunk_results.into_iter().flatten() {
-            if points.len() == count {
-                break;
+                    .collect::<Vec<Result<Option<T>, ArchError>>>()
+            });
+            // Chunks are contiguous and concatenated in order, so this scan
+            // replays the exact inline attempt order; outcomes past the
+            // count-th success (including faults) are ignored, as an inline
+            // walk would never have reached them.
+            for outcome in chunk_results.into_iter().flatten() {
+                if points.len() == count {
+                    break;
+                }
+                if let Some(t) = outcome? {
+                    points.push(t);
+                }
             }
-            if let Some(t) = outcome? {
-                points.push(t);
-            }
+            next_attempt += batch as u64;
         }
-        next_attempt += batch as u64;
     }
-    Ok((points, next_attempt, cancel.is_cancelled()))
+    let cancelled = points.len() < count && cancel.is_cancelled();
+    Ok((points, next_attempt, cancelled))
 }
 
 /// Turns an un-cancelled engine result into the legacy all-or-error
@@ -201,14 +213,16 @@ pub(crate) fn finish<T>(
 }
 
 impl Explorer {
-    /// Parallel twin of [`Self::sweep_baselines`]: shards the
-    /// (architecture × CE count) grid across `workers` threads
-    /// (`0` = one per core) and returns the identical point list.
+    /// Evaluates every baseline architecture at every CE count in `range`
+    /// (infeasible combinations skipped) — the instance grid behind
+    /// Tables I/V and Figs. 5/8. Shards the (architecture × CE count)
+    /// grid across `workers` threads (`0` = one per core, `1` inline);
+    /// the point list is the same for any worker count.
     ///
     /// # Errors
     ///
-    /// As [`Self::sweep_baselines`]: the first non-`Infeasible` builder
-    /// fault in grid order.
+    /// The first builder fault other than [`ArchError::Infeasible`] in
+    /// grid order — real bugs are never reported as "infeasible".
     pub fn par_sweep_baselines(
         &self,
         range: impl IntoIterator<Item = usize> + Clone,
@@ -221,9 +235,9 @@ impl Explorer {
 
     /// [`Self::par_sweep_baselines`] with a cooperative [`CancelToken`],
     /// polled before every (architecture, CE count) cell. A fired token
-    /// skips the remaining cells and returns the points built so far with
-    /// the `cancelled` flag set; a token that never fires leaves the
-    /// sweep bit-identical to the plain twin.
+    /// skips the remaining cells and returns the points built so far; the
+    /// `cancelled` flag is set only when a cell was skipped. A token that
+    /// never fires leaves the sweep bit-identical to the plain form.
     ///
     /// # Errors
     ///
@@ -238,73 +252,44 @@ impl Explorer {
             .into_iter()
             .flat_map(|a| range.clone().into_iter().map(move |ces| (a, ces)))
             .collect();
-        let cell = |a, ces| {
-            if cancel.is_cancelled() {
-                return Ok(None);
-            }
-            self.baseline_cell(a, ces)
-        };
+        // `None` marks a cell skipped because the token fired.
+        let cell = |a, ces| (!cancel.is_cancelled()).then(|| self.baseline_cell(a, ces));
         let workers = resolve_workers(workers).min(cells.len().max(1));
-        let cell_results: Vec<Result<Option<BaselinePoint>, ArchError>> = if workers <= 1 {
-            cells.iter().map(|&(a, ces)| cell(a, ces)).collect()
-        } else {
-            let chunks = chunk_bounds(cells.len(), workers);
-            std::thread::scope(|s| {
-                let cells = &cells;
-                let cell = &cell;
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || {
-                            cells[lo..hi]
-                                .iter()
-                                .map(|&(a, ces)| cell(a, ces))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            })
-        };
+        let cell_results: Vec<_> = run_ranges(&chunk_bounds(cells.len(), workers), |lo, hi| {
+            cells[lo..hi]
+                .iter()
+                .map(|&(a, ces)| cell(a, ces))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let cancelled = cell_results.iter().any(Option::is_none);
         let mut out = Vec::new();
-        for r in cell_results {
+        for r in cell_results.into_iter().flatten() {
             if let Some(point) = r? {
                 out.push(point);
             }
         }
-        Ok((out, cancel.is_cancelled()))
+        Ok((out, cancelled))
     }
 
-    /// Parallel twin of [`Self::sample_custom`]: same `(count, seed)` ⇒
-    /// same point set and order, for any `workers` (`0` = one per core).
+    /// Samples and evaluates `count` custom designs (Use Case 3),
+    /// returning the points plus the total wall time — the quantity
+    /// behind the paper's "100000 designs in 10.5 minutes". The point set
+    /// and order are a pure function of `(count, seed)`, the same for any
+    /// `workers` (`0` = one per core, `1` inline).
     ///
     /// # Errors
     ///
-    /// As [`Self::sample_custom`].
+    /// [`ExploreError::AttemptsExhausted`] when the attempt budget
+    /// ([`default_max_attempts`]) runs out before `count` feasible
+    /// designs are found, [`ExploreError::Arch`] on real builder faults.
     pub fn par_sample_custom(
         &self,
         count: usize,
         seed: u64,
         workers: usize,
-    ) -> Result<(Vec<DesignPoint>, Duration), ExploreError> {
-        self.par_sample_custom_capped(count, seed, workers, default_max_attempts(count))
-    }
-
-    /// [`Self::par_sample_custom`] with an explicit attempt budget —
-    /// the parallel twin of [`Self::sample_custom_capped`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sample_custom`], with `max_attempts` as the budget.
-    pub fn par_sample_custom_capped(
-        &self,
-        count: usize,
-        seed: u64,
-        workers: usize,
-        max_attempts: u64,
     ) -> Result<(Vec<DesignPoint>, Duration), ExploreError> {
         let start = Instant::now();
         let (points, attempts, _) = sample_engine(
@@ -312,7 +297,6 @@ impl Explorer {
             count,
             seed,
             workers,
-            max_attempts,
             &CancelToken::new(),
             &|e, d, _| e.custom_cell(d),
         )?;
@@ -320,14 +304,17 @@ impl Explorer {
         Ok((points, start.elapsed()))
     }
 
-    /// Parallel twin of [`Self::sample_custom_summaries`] — the
-    /// throughput path for 100k-design sweeps: sharded sampling, lean
+    /// [`Self::par_sample_custom`] keeping only the lean [`EvalSummary`]
+    /// per design — the throughput path for 100k-design sweeps: lean
     /// per-design records evaluated through the summary fast lane with
-    /// one scratch per worker, identical results for any worker count.
+    /// one scratch per worker. Same point set (and bit-identical metrics)
+    /// as [`Self::par_sample_custom`], for any worker count.
+    ///
+    /// [`EvalSummary`]: mccm_core::EvalSummary
     ///
     /// # Errors
     ///
-    /// As [`Self::sample_custom`].
+    /// As [`Self::par_sample_custom`].
     pub fn par_sample_custom_summaries(
         &self,
         count: usize,
@@ -345,13 +332,14 @@ impl Explorer {
 
     /// [`Self::par_sample_custom_summaries`] with a cooperative
     /// [`CancelToken`], polled at attempt boundaries. A fired token stops
-    /// the sweep and returns the feasible prefix found so far
-    /// ([`SampleRun::cancelled`] set) instead of erroring; a token that
-    /// never fires leaves the sweep bit-identical to the plain twin.
+    /// the sweep and returns the feasible prefix found so far instead of
+    /// erroring; [`SampleRun::cancelled`] is set only when that prefix is
+    /// short of `count`. A token that never fires leaves the sweep
+    /// bit-identical to the plain form.
     ///
     /// # Errors
     ///
-    /// As [`Self::sample_custom`] — but only un-cancelled sweeps can
+    /// As [`Self::par_sample_custom`] — but only un-cancelled sweeps can
     /// exhaust their attempt budget.
     pub fn par_sample_custom_summaries_cancellable(
         &self,
@@ -361,15 +349,10 @@ impl Explorer {
         cancel: &CancelToken,
     ) -> Result<SampleRun<CustomPoint>, ExploreError> {
         let start = Instant::now();
-        let (points, attempts, cancelled) = sample_engine(
-            self,
-            count,
-            seed,
-            workers,
-            default_max_attempts(count),
-            cancel,
-            &|e, d, scratch| e.custom_summary_cell(d, scratch),
-        )?;
+        let (points, attempts, cancelled) =
+            sample_engine(self, count, seed, workers, cancel, &|e, d, scratch| {
+                e.custom_summary_cell(d, scratch)
+            })?;
         let points = if cancelled {
             points
         } else {
@@ -420,23 +403,8 @@ impl Explorer {
             Ok(out)
         };
         let shards = space.shards(workers).expect("size fits u128");
-        let shard_results: Vec<Result<Vec<CustomPoint>, ArchError>> = if workers <= 1 {
-            shards.iter().map(|&(lo, hi)| walk_shard(lo, hi)).collect()
-        } else {
-            std::thread::scope(|s| {
-                let walk = &walk_shard;
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|&(lo, hi)| s.spawn(move || walk(lo, hi)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            })
-        };
         let mut out = Vec::new();
-        for r in shard_results {
+        for r in run_ranges(&shards, walk_shard) {
             out.extend(r?);
         }
         Ok(out)
@@ -454,34 +422,17 @@ pub fn par_pareto_indices<S: MetricSource + Sync>(
 ) -> Vec<usize> {
     let workers = resolve_workers(workers).min(items.len().max(1));
     let values = |item: &S| -> Vec<f64> { metrics.iter().map(|m| m.value(item)).collect() };
-    let mut merged = ParetoFront::new(metrics);
-    if workers <= 1 {
-        for (i, item) in items.iter().enumerate() {
-            merged.offer_with_values(i, values(item));
+    let mut fronts = run_ranges(&chunk_bounds(items.len(), workers), |lo, hi| {
+        let mut front = ParetoFront::new(metrics);
+        for (off, item) in items[lo..hi].iter().enumerate() {
+            front.offer_with_values(lo + off, values(item));
         }
-    } else {
-        let chunks = chunk_bounds(items.len(), workers);
-        let fronts: Vec<ParetoFront<usize>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(lo, hi)| {
-                    s.spawn(move || {
-                        let mut front = ParetoFront::new(metrics);
-                        for (off, item) in items[lo..hi].iter().enumerate() {
-                            front.offer_with_values(lo + off, values(item));
-                        }
-                        front
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pareto worker panicked"))
-                .collect()
-        });
-        for front in fronts {
-            merged.merge(front);
-        }
+        front
+    })
+    .into_iter();
+    let mut merged = fronts.next().unwrap_or_else(|| ParetoFront::new(metrics));
+    for front in fronts {
+        merged.merge(front);
     }
     let mut indices = merged.into_items();
     indices.sort_unstable();
@@ -499,7 +450,7 @@ mod tests {
     fn parallel_baseline_sweep_matches_serial() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let serial = e.sweep_baselines(2..=6).unwrap();
+        let serial = e.par_sweep_baselines(2..=6, 1).unwrap();
         for workers in [1usize, 2, 5] {
             let par = e.par_sweep_baselines(2..=6, workers).unwrap();
             assert_eq!(par.len(), serial.len());
@@ -515,7 +466,7 @@ mod tests {
     fn parallel_sampling_matches_serial_for_any_worker_count() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (serial, _) = e.sample_custom(30, 7).unwrap();
+        let (serial, _) = e.par_sample_custom(30, 7, 1).unwrap();
         for workers in [2usize, 3, 8] {
             let (par, _) = e.par_sample_custom(30, 7, workers).unwrap();
             assert_eq!(par.len(), serial.len());
@@ -562,7 +513,7 @@ mod tests {
     fn sharded_pareto_matches_batch() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let (points, _) = e.sample_custom_summaries(60, 13).unwrap();
+        let (points, _) = e.par_sample_custom_summaries(60, 13, 1).unwrap();
         let summaries: Vec<_> = points.iter().map(|p| p.summary.clone()).collect();
         let metrics = [Metric::Throughput, Metric::OnChipBuffers];
         let serial = par_pareto_indices(&summaries, &metrics, 1);
@@ -570,8 +521,51 @@ mod tests {
             assert_eq!(par_pareto_indices(&summaries, &metrics, workers), serial);
         }
         // And the batch wrapper agrees on full evaluations.
-        let (full, _) = e.sample_custom(60, 13).unwrap();
+        let (full, _) = e.par_sample_custom(60, 13, 1).unwrap();
         let evals: Vec<_> = full.iter().map(|p| p.eval.clone()).collect();
         assert_eq!(pareto_front(&evals, &metrics), serial);
+    }
+
+    fn fired_token() -> CancelToken {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        cancel
+    }
+
+    #[test]
+    fn empty_sweep_under_a_fired_token_is_not_cancelled() {
+        // `cancelled` means a cell was skipped: an empty grid skips none,
+        // so serve must not label its (complete) result degraded.
+        let m = zoo::mobilenet_v2();
+        let e = Explorer::new(&m, &FpgaBoard::zc706());
+        #[allow(clippy::reversed_empty_ranges)]
+        let (points, cancelled) = e
+            .par_sweep_baselines_cancellable(3..=2, 2, &fired_token())
+            .unwrap();
+        assert!(points.is_empty());
+        assert!(!cancelled, "an empty sweep skipped no cell");
+        let (_, cancelled) = e
+            .par_sweep_baselines_cancellable(2..=3, 2, &fired_token())
+            .unwrap();
+        assert!(cancelled, "skipped cells must still be labelled");
+    }
+
+    #[test]
+    fn zero_count_sample_under_a_fired_token_is_not_cancelled() {
+        // A sample is cancelled only when it holds fewer than `count`
+        // points; a zero-count sample is complete before it starts.
+        let m = zoo::mobilenet_v2();
+        let e = Explorer::new(&m, &FpgaBoard::zc706());
+        for workers in [1usize, 2] {
+            let run = e
+                .par_sample_custom_summaries_cancellable(0, 1, workers, &fired_token())
+                .unwrap();
+            assert!(run.points.is_empty());
+            assert!(!run.cancelled, "workers={workers}");
+            let run = e
+                .par_sample_custom_summaries_cancellable(5, 1, workers, &fired_token())
+                .unwrap();
+            assert!(run.cancelled && run.points.is_empty(), "workers={workers}");
+        }
     }
 }

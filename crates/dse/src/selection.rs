@@ -84,7 +84,7 @@ mod tests {
     fn sweep() -> Vec<BaselinePoint> {
         let m = zoo::resnet50();
         Explorer::new(&m, &FpgaBoard::zc706())
-            .sweep_baselines(2..=11)
+            .par_sweep_baselines(2..=11, 1)
             .unwrap()
     }
 
@@ -137,7 +137,7 @@ mod tests {
         // 3-CE instance whichever order the points arrive in.
         let m = zoo::resnet50();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let base = e.sweep_baselines(2..=2).unwrap();
+        let base = e.par_sweep_baselines(2..=2, 1).unwrap();
         let mk = |ces: usize, latency: f64| {
             let mut p = base[0].clone();
             p.ces = ces;

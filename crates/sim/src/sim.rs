@@ -41,6 +41,7 @@ enum TileState {
 /// ```
 /// use mccm_arch::{templates, MultipleCeBuilder};
 /// use mccm_cnn::zoo;
+/// use mccm_core::CostModel;
 /// use mccm_sim::{SimConfig, Simulator};
 /// use mccm_fpga::FpgaBoard;
 ///
@@ -48,7 +49,8 @@ enum TileState {
 /// let model = zoo::mobilenet_v2();
 /// let builder = MultipleCeBuilder::new(&model, &FpgaBoard::zc706());
 /// let acc = builder.build(&templates::hybrid(&model, 3)?)?;
-/// let result = Simulator::new(SimConfig::default()).run(&acc);
+/// let eval = CostModel::evaluate(&acc);
+/// let result = Simulator::new(SimConfig::default()).run_with_eval(&acc, &eval);
 /// assert!(result.latency_s > 0.0);
 /// # Ok(())
 /// # }
@@ -64,14 +66,9 @@ impl Simulator {
         Self { config }
     }
 
-    /// Simulates `config.images` back-to-back inferences of `acc`.
-    pub fn run(&self, acc: &BuiltAccelerator) -> crate::SimResult {
-        let eval = mccm_core::CostModel::evaluate(acc);
-        self.run_with_eval(acc, &eval)
-    }
-
-    /// Simulates using an already-computed model evaluation (avoids
-    /// re-running the analytical model when the caller has it).
+    /// Simulates `config.images` back-to-back inferences of `acc`, taking
+    /// the tile graph's design-time decisions from `eval`, the model's
+    /// evaluation of `acc` (`CostModel::evaluate(acc)`).
     pub fn run_with_eval(&self, acc: &BuiltAccelerator, eval: &Evaluation) -> crate::SimResult {
         // A fresh token never fires, so the full run always completes —
         // and takes exactly the code path a cancellable run takes, which
@@ -80,22 +77,11 @@ impl Simulator {
             .expect("fresh token never cancels")
     }
 
-    /// Cancellable twin of [`Self::run`]: polls `cancel` cooperatively
-    /// between event-loop slices and returns `None` if it fired, so a
-    /// serve deadline interrupting a calibration promotion degrades
-    /// honestly instead of blocking until the simulation drains.
-    pub fn run_cancellable(
-        &self,
-        acc: &BuiltAccelerator,
-        cancel: &CancelToken,
-    ) -> Option<crate::SimResult> {
-        let eval = mccm_core::CostModel::evaluate(acc);
-        self.run_with_eval_cancellable(acc, &eval, cancel)
-    }
-
-    /// Cancellable twin of [`Self::run_with_eval`] (see
-    /// [`Self::run_cancellable`]). A completed run is bit-identical to
-    /// the uncancellable one; a cancelled run returns `None` — partial
+    /// [`Self::run_with_eval`] polling `cancel` cooperatively between
+    /// event-loop slices, so a serve deadline interrupting a calibration
+    /// promotion degrades honestly instead of blocking until the
+    /// simulation drains. A completed run is bit-identical to the
+    /// uncancellable one; a cancelled run returns `None` — partial
     /// timings would not be honest measurements.
     pub fn run_with_eval_cancellable(
         &self,

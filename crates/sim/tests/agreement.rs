@@ -56,8 +56,8 @@ fn simulator_is_deterministic() {
     let b = MultipleCeBuilder::new(&model, &board);
     let acc = b.build(&templates::hybrid(&model, 6).unwrap()).unwrap();
     let sim = Simulator::new(SimConfig::default());
-    let a = sim.run(&acc);
-    let b2 = sim.run(&acc);
+    let a = sim.run_with_eval(&acc, &CostModel::evaluate(&acc));
+    let b2 = sim.run_with_eval(&acc, &CostModel::evaluate(&acc));
     assert_eq!(a, b2);
 }
 
@@ -67,8 +67,9 @@ fn overheads_only_slow_things_down() {
     let board = FpgaBoard::zc706();
     let b = MultipleCeBuilder::new(&model, &board);
     let acc = b.build(&templates::segmented(&model, 3).unwrap()).unwrap();
-    let ideal = Simulator::new(SimConfig::ideal()).run(&acc);
-    let real = Simulator::new(SimConfig::default()).run(&acc);
+    let eval = CostModel::evaluate(&acc);
+    let ideal = Simulator::new(SimConfig::ideal()).run_with_eval(&acc, &eval);
+    let real = Simulator::new(SimConfig::default()).run_with_eval(&acc, &eval);
     assert!(real.latency_s >= ideal.latency_s);
     assert!(real.throughput_fps <= ideal.throughput_fps * 1.0001);
     // Useful traffic is identical regardless of overheads.
@@ -82,7 +83,8 @@ fn steady_state_throughput_at_least_inverse_latency() {
     let b = MultipleCeBuilder::new(&model, &board);
     for arch in templates::Architecture::ALL {
         let acc = b.build(&arch.instantiate(&model, 4).unwrap()).unwrap();
-        let r = Simulator::new(SimConfig::default()).run(&acc);
+        let eval = CostModel::evaluate(&acc);
+        let r = Simulator::new(SimConfig::default()).run_with_eval(&acc, &eval);
         // Pipelining can only help: II <= first-image latency (small
         // tolerance for measurement granularity).
         assert!(

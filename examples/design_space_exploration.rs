@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let explorer = Explorer::new(&model, &board);
 
     // Baseline sweep (Use Case 1): who wins each metric?
-    let sweep = explorer.sweep_baselines(2..=11)?;
+    let sweep = explorer.par_sweep_baselines(2..=11, 1)?;
     println!("baseline winners (10% tie rule):");
     for cell in select_all_metrics(&sweep, PAPER_TIE_FRAC) {
         let winners: Vec<String> = cell
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Custom-space sampling.
-    let (points, elapsed) = explorer.sample_custom(samples, 1)?;
+    let (points, elapsed) = explorer.par_sample_custom(samples, 1, 1)?;
     println!(
         "evaluated {samples} custom designs in {:.2} s ({:.2} ms/design)",
         elapsed.as_secs_f64(),

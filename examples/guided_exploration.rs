@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let serial = explorer.optimize(&config)?;
+    let serial = explorer.optimize_par(&config, 1)?;
     let parallel = explorer.optimize_par(&config, 2)?;
     let key = |f: &mccm::dse::GuidedFront| -> Vec<String> {
         f.points

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  {} feasible designs, parallel == serial", parallel.len());
 
     // Sharded sampling: same seed, same point set as the serial path.
-    let (serial_pts, _) = explorer.sample_custom_summaries(64, 1)?;
+    let (serial_pts, _) = explorer.par_sample_custom_summaries(64, 1, 1)?;
     let (par_pts, elapsed) = explorer.par_sample_custom_summaries(64, 1, WORKERS)?;
     assert_eq!(serial_pts, par_pts, "sharded sampling diverged from serial");
     println!(

@@ -565,13 +565,13 @@ fn summary_sweep_equals_full_sweep_summaries() {
     // reproduce the full-lane sweep's summaries point for point.
     let model = zoo::xception();
     let explorer = Explorer::new(&model, &FpgaBoard::vcu110());
-    let (full, _) = explorer.sample_custom(120, 7).unwrap();
-    let (lean, _) = explorer.sample_custom_summaries(120, 7).unwrap();
+    let (full, _) = explorer.par_sample_custom(120, 7, 1).unwrap();
+    let (lean, _) = explorer.par_sample_custom_summaries(120, 7, 1).unwrap();
     assert_eq!(full.len(), lean.len());
     for (f, l) in full.iter().zip(&lean) {
         assert_eq!(f.eval.summary(), l.summary);
     }
-    // And the parallel twin agrees for several worker counts.
+    // And sharded runs agree for several worker counts.
     for workers in [2usize, 5] {
         let (par, _) = explorer
             .par_sample_custom_summaries(120, 7, workers)

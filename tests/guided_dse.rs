@@ -33,7 +33,7 @@ fn guided_fronts_are_bit_identical_for_any_worker_count() {
         .with_population(12)
         .with_islands(3)
         .with_seed(21);
-    let serial = explorer.optimize(&config).unwrap();
+    let serial = explorer.optimize_par(&config, 1).unwrap();
     assert!(!serial.points.is_empty());
     assert!(serial.evaluations <= config.budget);
     for workers in [2usize, 3, 8] {
@@ -61,7 +61,7 @@ fn guided_front_designs_rebuild_to_their_reported_metrics() {
         .with_population(12)
         .with_islands(2)
         .with_seed(5);
-    let front = explorer.optimize(&config).unwrap();
+    let front = explorer.optimize_par(&config, 1).unwrap();
     assert!(!front.points.is_empty());
     let builder = MultipleCeBuilder::new(&model, &board);
     for p in &front.points {
@@ -97,9 +97,9 @@ fn delta_fronts_are_bit_identical_to_full_fronts_for_any_worker_count() {
             .with_seed(21)
             .with_max_fuse_depth(max_fuse_depth);
         let full = explorer
-            .optimize(&config.clone().with_delta_eval(false))
+            .optimize_par(&config.clone().with_delta_eval(false), 1)
             .unwrap();
-        let delta = explorer.optimize(&config).unwrap();
+        let delta = explorer.optimize_par(&config, 1).unwrap();
         assert!(!delta.points.is_empty());
         assert_eq!(front_fingerprint(&delta), front_fingerprint(&full));
         assert_eq!(delta.evaluations, full.evaluations);
@@ -191,7 +191,7 @@ fn schedule_axis_front_cuts_offchip_traffic_below_layer_by_layer() {
         .with_islands(3)
         .with_seed(13);
     let front = explorer
-        .optimize(&base.clone().with_max_fuse_depth(4))
+        .optimize_par(&base.clone().with_max_fuse_depth(4), 1)
         .unwrap();
     let df_points: Vec<_> = front
         .points
@@ -223,7 +223,7 @@ fn schedule_axis_front_cuts_offchip_traffic_below_layer_by_layer() {
 
     // And the fused lane must beat the best traffic a layer-by-layer-only
     // search of the same budget/seed can reach at all.
-    let lbl_front = explorer.optimize(&base).unwrap();
+    let lbl_front = explorer.optimize_par(&base, 1).unwrap();
     let best_lbl = lbl_front
         .points
         .iter()
@@ -248,7 +248,7 @@ fn energy_orders_designs_consistently_with_its_inputs() {
     // not cost more energy.
     let model = zoo::resnet50();
     let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-    let points = explorer.sweep_baselines(2..=6).unwrap();
+    let points = explorer.par_sweep_baselines(2..=6, 1).unwrap();
     for a in &points {
         for b in &points {
             let (ea, eb) = (&a.eval, &b.eval);

@@ -70,7 +70,7 @@ fn claim_metric_dependent_winners_across_grid() {
     for board in FpgaBoard::evaluation_boards() {
         for model in zoo::all_models() {
             let sweep = Explorer::new(&model, &board)
-                .sweep_baselines(2..=11)
+                .par_sweep_baselines(2..=11, 1)
                 .unwrap();
             let cells = select_all_metrics(&sweep, PAPER_TIE_FRAC);
             for c in &cells {
@@ -109,7 +109,7 @@ fn claim_hybrid_minimizes_accesses() {
     let model = zoo::resnet50();
     for board in FpgaBoard::evaluation_boards() {
         let sweep = Explorer::new(&model, &board)
-            .sweep_baselines(2..=11)
+            .par_sweep_baselines(2..=11, 1)
             .unwrap();
         let cell = mccm::dse::select_best(&sweep, Metric::OffChipAccesses, PAPER_TIE_FRAC);
         assert!(
@@ -130,7 +130,7 @@ fn claim_segmented_rr_memory_bottleneck_on_zc706() {
     let model = zoo::resnet50();
     let board = FpgaBoard::zc706();
     let sweep = Explorer::new(&model, &board)
-        .sweep_baselines(2..=11)
+        .par_sweep_baselines(2..=11, 1)
         .unwrap();
     let min_rr = sweep
         .iter()
@@ -175,7 +175,7 @@ fn claim_custom_designs_beat_baselines() {
     let model = zoo::xception();
     let board = FpgaBoard::vcu110();
     let explorer = Explorer::new(&model, &board);
-    let sweep = explorer.sweep_baselines(2..=11).unwrap();
+    let sweep = explorer.par_sweep_baselines(2..=11, 1).unwrap();
     let base = sweep
         .iter()
         .reduce(|a, b| {
@@ -189,7 +189,7 @@ fn claim_custom_designs_beat_baselines() {
     // 1000 samples (paper: 100 000): enough that a baseline-matching
     // design reliably appears regardless of the exact RNG stream; 400 was
     // marginal (some seeds topped out ~0.25% below the baseline).
-    let (points, _) = explorer.sample_custom(1000, 3).unwrap();
+    let (points, _) = explorer.par_sample_custom(1000, 3, 1).unwrap();
     let matching_buf = points
         .iter()
         .filter(|p| p.eval.throughput_fps >= base.eval.throughput_fps * 0.999)

@@ -1,15 +1,17 @@
 //! Integration tests for the parallel exploration subsystem: the
 //! incremental Pareto front must agree with a brute-force batch pass on
-//! arbitrary point clouds (property test), and every sharded `par_*`
-//! sweep must reproduce its serial twin point-for-point at any worker
+//! arbitrary point clouds (property test), and every sweep must
+//! reproduce its inline `workers = 1` run point-for-point at any worker
 //! count (determinism tests).
 
 use proptest::prelude::*;
 
 use mccm::cnn::zoo;
 use mccm::core::{Bytes, EvalSummary, Macs, Metric};
-use mccm::dse::{par_pareto_indices, CustomSpace, ExploreError, Explorer, ParetoFront};
-use mccm::fpga::FpgaBoard;
+use mccm::dse::{
+    default_max_attempts, par_pareto_indices, CustomSpace, ExploreError, Explorer, ParetoFront,
+};
+use mccm::fpga::{FpgaBoard, MiB};
 
 fn summary(latency_ms: u64, fps: u64, buf: u64, traffic: u64) -> EvalSummary {
     EvalSummary {
@@ -96,7 +98,7 @@ proptest! {
 fn parallel_sampling_matches_serial_point_for_point() {
     let model = zoo::mobilenet_v2();
     let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-    let (serial, _) = explorer.sample_custom(40, 11).unwrap();
+    let (serial, _) = explorer.par_sample_custom(40, 11, 1).unwrap();
     let serial_notations: Vec<_> = serial.iter().map(|p| p.eval.notation.clone()).collect();
     for workers in [1usize, 2, 3, 8] {
         let (par, _) = explorer.par_sample_custom(40, 11, workers).unwrap();
@@ -116,7 +118,7 @@ fn parallel_sampling_matches_serial_point_for_point() {
 fn parallel_baseline_sweep_matches_serial() {
     let model = zoo::resnet50();
     let explorer = Explorer::new(&model, &FpgaBoard::vcu108());
-    let serial = explorer.sweep_baselines(2..=11).unwrap();
+    let serial = explorer.par_sweep_baselines(2..=11, 1).unwrap();
     for workers in [2usize, 4, 32] {
         let par = explorer.par_sweep_baselines(2..=11, workers).unwrap();
         assert_eq!(par.len(), serial.len());
@@ -155,22 +157,23 @@ fn exhaustive_tiny_space_is_complete_and_worker_invariant() {
 
 #[test]
 fn infeasible_heavy_spaces_error_instead_of_hanging() {
+    // A 1-DSP board cannot host two CEs: every draw is infeasible, so the
+    // default attempt budget runs out instead of the sweep spinning.
     let model = zoo::mobilenet_v2();
-    let explorer = Explorer::new(&model, &FpgaBoard::zc706());
+    let explorer = Explorer::new(&model, &FpgaBoard::new("tiny", 1, MiB(0.5), 1.0));
     for workers in [1usize, 4] {
-        let capped = if workers == 1 {
-            explorer.sample_custom_capped(1_000, 2, 10).map(|(p, _)| p)
-        } else {
-            explorer
-                .par_sample_custom_capped(1_000, 2, workers, 10)
-                .map(|(p, _)| p)
-        };
-        match capped {
-            Err(ExploreError::AttemptsExhausted { wanted, got, .. }) => {
-                assert!(got < wanted);
+        match explorer.par_sample_custom(100, 2, workers).map(|(p, _)| p) {
+            Err(ExploreError::AttemptsExhausted {
+                wanted,
+                got,
+                attempts,
+            }) => {
+                assert_eq!(wanted, 100);
+                assert_eq!(got, 0);
+                assert_eq!(attempts, default_max_attempts(100));
             }
             other => panic!(
-                "expected AttemptsExhausted, got {:?}",
+                "expected AttemptsExhausted at workers={workers}, got {:?}",
                 other.map(|p| p.len())
             ),
         }

@@ -25,7 +25,7 @@ fn midsize_summary_sweep_stays_under_wall_clock_ceiling() {
     let explorer = Explorer::new(&model, &FpgaBoard::vcu110());
     let start = Instant::now();
     let (points, _) = explorer
-        .sample_custom_summaries(DESIGNS, 99)
+        .par_sample_custom_summaries(DESIGNS, 99, 1)
         .expect("mid-size xception sweep must be feasible");
     let elapsed = start.elapsed();
     assert_eq!(points.len(), DESIGNS);
