@@ -98,12 +98,14 @@ fn run_ranges<B: Copy + Send, R: Send>(
 #[derive(Debug, Clone)]
 pub struct SampleRun<T> {
     /// Feasible designs in attempt order. When `cancelled` is false this
-    /// holds exactly the requested count; when true, whatever was found
-    /// before the token fired.
+    /// holds exactly the requested count; when true, the feasible designs
+    /// among the first `attempts` attempts — a prefix of the un-cancelled
+    /// result.
     pub points: Vec<T>,
     /// Attempts consumed from the counter-based stream (feasible or not).
     pub attempts: u64,
-    /// Whether the token fired before `count` feasible designs were found.
+    /// Whether the token skipped an attempt before `count` feasible
+    /// designs were found.
     pub cancelled: bool,
     /// Wall time of the sweep.
     pub elapsed: Duration,
@@ -122,9 +124,10 @@ pub struct SampleRun<T> {
 /// per-design boundaries (parallel); a token that never fires leaves the
 /// attempt walk — and therefore the result — bit-identical. On
 /// cancellation the engine returns the feasible prefix found so far
-/// instead of erroring; the returned flag is set only when that prefix
-/// is short of `count`, so a sweep that finished before the token fired
-/// is not reported as cancelled.
+/// instead of erroring; the returned flag is set only when the token
+/// skipped an attempt the inline walk would have made, so a sweep that
+/// finished before the token fired is not reported as cancelled, and an
+/// unflagged result always equals the inline one.
 pub(crate) fn sample_engine<T: Send>(
     explorer: &Explorer,
     count: usize,
@@ -140,9 +143,14 @@ pub(crate) fn sample_engine<T: Send>(
     let max_attempts = default_max_attempts(count);
     let mut points: Vec<T> = Vec::new();
     let mut next_attempt = 0u64;
+    let mut cancelled = false;
     if workers <= 1 {
         let mut scratch = EvalScratch::new();
-        while points.len() < count && next_attempt < max_attempts && !cancel.is_cancelled() {
+        while points.len() < count && next_attempt < max_attempts {
+            if cancel.is_cancelled() {
+                cancelled = true;
+                break;
+            }
             let design = sample_attempt(&space, seed, next_attempt);
             if let Some(t) = eval(explorer, &design, &mut scratch)? {
                 points.push(t);
@@ -150,7 +158,11 @@ pub(crate) fn sample_engine<T: Send>(
             next_attempt += 1;
         }
     } else {
-        while points.len() < count && next_attempt < max_attempts && !cancel.is_cancelled() {
+        while points.len() < count && next_attempt < max_attempts {
+            if cancel.is_cancelled() {
+                cancelled = true;
+                break;
+            }
             let need = (count - points.len()) as u64;
             // Slight over-provisioning absorbs the (usually small) infeasible
             // fraction; any overshoot past the count-th success is discarded,
@@ -161,36 +173,42 @@ pub(crate) fn sample_engine<T: Send>(
             let batch = usize::try_from(batch)
                 .expect("batch is bounded by the remaining sample count, a usize");
             let base = next_attempt;
+            // `None` marks an attempt skipped because the token fired.
             let chunk_results = run_ranges(&chunk_bounds(batch, workers), |lo, hi| {
                 let mut scratch = EvalScratch::new();
                 (base + lo as u64..base + hi as u64)
                     .map(|a| {
-                        // A fired token skips the remaining evaluations;
-                        // skipped attempts read as infeasible, and the batch
-                        // loop exits on the same token before drawing more.
-                        if cancel.is_cancelled() {
-                            return Ok(None);
-                        }
-                        eval(explorer, &sample_attempt(&space, seed, a), &mut scratch)
+                        (!cancel.is_cancelled())
+                            .then(|| eval(explorer, &sample_attempt(&space, seed, a), &mut scratch))
                     })
-                    .collect::<Vec<Result<Option<T>, ArchError>>>()
+                    .collect::<Vec<Option<Result<Option<T>, ArchError>>>>()
             });
             // Chunks are contiguous and concatenated in order, so this scan
             // replays the exact inline attempt order; outcomes past the
             // count-th success (including faults) are ignored, as an inline
-            // walk would never have reached them.
-            for outcome in chunk_results.into_iter().flatten() {
+            // walk would never have reached them. A skipped attempt before
+            // the count-th success ends the sweep as cancelled, with the
+            // stream position at that attempt: later outcomes cannot be
+            // kept without breaking the attempt-order prefix.
+            next_attempt += batch as u64;
+            for (a, outcome) in (base..).zip(chunk_results.into_iter().flatten()) {
                 if points.len() == count {
                     break;
                 }
+                let Some(outcome) = outcome else {
+                    next_attempt = a;
+                    cancelled = true;
+                    break;
+                };
                 if let Some(t) = outcome? {
                     points.push(t);
                 }
             }
-            next_attempt += batch as u64;
+            if cancelled {
+                break;
+            }
         }
     }
-    let cancelled = points.len() < count && cancel.is_cancelled();
     Ok((points, next_attempt, cancelled))
 }
 
@@ -333,9 +351,10 @@ impl Explorer {
     /// [`Self::par_sample_custom_summaries`] with a cooperative
     /// [`CancelToken`], polled at attempt boundaries. A fired token stops
     /// the sweep and returns the feasible prefix found so far instead of
-    /// erroring; [`SampleRun::cancelled`] is set only when that prefix is
-    /// short of `count`. A token that never fires leaves the sweep
-    /// bit-identical to the plain form.
+    /// erroring; [`SampleRun::cancelled`] is set only when the token
+    /// skipped an attempt before `count` feasible designs were found. A
+    /// token that never fires leaves the sweep bit-identical to the plain
+    /// form.
     ///
     /// # Errors
     ///
@@ -566,6 +585,39 @@ mod tests {
                 .par_sample_custom_summaries_cancellable(5, 1, workers, &fired_token())
                 .unwrap();
             assert!(run.cancelled && run.points.is_empty(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_token_fired_mid_batch_is_flagged_or_changes_nothing() {
+        // The hook fires the token on attempt 0, which the first chunk
+        // evaluates, after giving the other chunks time to finish theirs:
+        // they alone can hold `count` feasible designs, but the first
+        // chunk skips the attempts right after attempt 0. An unflagged
+        // result must be the inline one; a flagged one a prefix of it.
+        let m = zoo::mobilenet_v2();
+        let e = Explorer::new(&m, &FpgaBoard::zc706());
+        let (inline, _) = e.par_sample_custom_summaries(4, 3, 1).unwrap();
+        let first = sample_attempt(&e.paper_space(), 3, 0);
+        for workers in [2usize, 4, 8] {
+            let cancel = CancelToken::new();
+            let (points, attempts, cancelled) =
+                sample_engine(&e, 4, 3, workers, &cancel, &|e, d, scratch| {
+                    if *d == first {
+                        std::thread::sleep(Duration::from_millis(50));
+                        cancel.cancel();
+                    }
+                    e.custom_summary_cell(d, scratch)
+                })
+                .unwrap();
+            assert!(cancel.is_cancelled());
+            if cancelled {
+                assert!(points.len() < 4, "workers={workers}");
+                assert_eq!(points[..], inline[..points.len()], "workers={workers}");
+                assert!(attempts >= 1, "the firing attempt itself was evaluated");
+            } else {
+                assert_eq!(points, inline, "workers={workers}");
+            }
         }
     }
 }
