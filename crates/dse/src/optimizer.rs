@@ -763,42 +763,20 @@ impl Explorer {
         };
 
         let workers = crate::parallel::resolve_workers(workers).min(islands.len().max(1));
-        if workers <= 1 {
+        let mut rest = islands.into_iter();
+        let chunks: Vec<Vec<Island>> = crate::enumerate::partition(rest.len() as u128, workers)
+            .into_iter()
+            .map(|(lo, hi)| rest.by_ref().take((hi - lo) as usize).collect())
+            .collect();
+        let mut out = Vec::new();
+        for chunk in crate::parallel::run_chunks(chunks, |chunk| {
             let mut scratch = EvalScratch::new();
-            let mut out = Vec::with_capacity(islands.len());
-            for isl in islands {
-                out.push(run_one(isl, &mut scratch)?);
-            }
-            return Ok(out);
-        }
-        let chunks = crate::enumerate::partition(islands.len() as u128, workers);
-        let mut slots: Vec<Option<Island>> = islands.into_iter().map(Some).collect();
-        let chunk_results: Vec<Vec<Result<Island, ArchError>>> = std::thread::scope(|s| {
-            let run_one = &run_one;
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(lo, hi)| {
-                    let chunk: Vec<Island> = slots[lo as usize..hi as usize]
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("island taken once"))
-                        .collect();
-                    s.spawn(move || {
-                        let mut scratch = EvalScratch::new();
-                        chunk
-                            .into_iter()
-                            .map(|isl| run_one(isl, &mut scratch))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
+            chunk
                 .into_iter()
-                .map(|h| h.join().expect("optimizer worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(slots.len());
-        for r in chunk_results.into_iter().flatten() {
-            out.push(r?);
+                .map(|isl| run_one(isl, &mut scratch))
+                .collect::<Result<Vec<Island>, ArchError>>()
+        }) {
+            out.extend(chunk?);
         }
         Ok(out)
     }

@@ -69,20 +69,18 @@ fn chunk_bounds(len: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Runs `job` once per `(lo, hi)` range and returns the results in range
-/// order: inline for a single range, else one scoped thread per range.
-fn run_ranges<B: Copy + Send, R: Send>(
-    ranges: &[(B, B)],
-    job: impl Fn(B, B) -> R + Sync,
-) -> Vec<R> {
-    if ranges.len() <= 1 {
-        return ranges.iter().map(|&(lo, hi)| job(lo, hi)).collect();
+/// Runs `job` once per chunk (an index range, a batch of owned items)
+/// and returns the results in chunk order: inline for a single chunk,
+/// else one scoped thread per chunk.
+pub(crate) fn run_chunks<C: Send, R: Send>(chunks: Vec<C>, job: impl Fn(C) -> R + Sync) -> Vec<R> {
+    if chunks.len() <= 1 {
+        return chunks.into_iter().map(job).collect();
     }
     let job = &job;
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| s.spawn(move || job(lo, hi)))
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| s.spawn(move || job(chunk)))
             .collect();
         handles
             .into_iter()
@@ -174,7 +172,7 @@ pub(crate) fn sample_engine<T: Send>(
                 .expect("batch is bounded by the remaining sample count, a usize");
             let base = next_attempt;
             // `None` marks an attempt skipped because the token fired.
-            let chunk_results = run_ranges(&chunk_bounds(batch, workers), |lo, hi| {
+            let chunk_results = run_chunks(chunk_bounds(batch, workers), |(lo, hi)| {
                 let mut scratch = EvalScratch::new();
                 (base + lo as u64..base + hi as u64)
                     .map(|a| {
@@ -273,7 +271,7 @@ impl Explorer {
         // `None` marks a cell skipped because the token fired.
         let cell = |a, ces| (!cancel.is_cancelled()).then(|| self.baseline_cell(a, ces));
         let workers = resolve_workers(workers).min(cells.len().max(1));
-        let cell_results: Vec<_> = run_ranges(&chunk_bounds(cells.len(), workers), |lo, hi| {
+        let cell_results: Vec<_> = run_chunks(chunk_bounds(cells.len(), workers), |(lo, hi)| {
             cells[lo..hi]
                 .iter()
                 .map(|&(a, ces)| cell(a, ces))
@@ -408,7 +406,7 @@ impl Explorer {
             });
         }
         let workers = resolve_workers(workers);
-        let walk_shard = |start: u128, end: u128| -> Result<Vec<CustomPoint>, ArchError> {
+        let walk_shard = |(start, end): (u128, u128)| -> Result<Vec<CustomPoint>, ArchError> {
             let iter = space
                 .designs_from(start)
                 .expect("shard start is within the space");
@@ -423,7 +421,7 @@ impl Explorer {
         };
         let shards = space.shards(workers).expect("size fits u128");
         let mut out = Vec::new();
-        for r in run_ranges(&shards, walk_shard) {
+        for r in run_chunks(shards, walk_shard) {
             out.extend(r?);
         }
         Ok(out)
@@ -441,7 +439,7 @@ pub fn par_pareto_indices<S: MetricSource + Sync>(
 ) -> Vec<usize> {
     let workers = resolve_workers(workers).min(items.len().max(1));
     let values = |item: &S| -> Vec<f64> { metrics.iter().map(|m| m.value(item)).collect() };
-    let mut fronts = run_ranges(&chunk_bounds(items.len(), workers), |lo, hi| {
+    let mut fronts = run_chunks(chunk_bounds(items.len(), workers), |(lo, hi)| {
         let mut front = ParetoFront::new(metrics);
         for (off, item) in items[lo..hi].iter().enumerate() {
             front.offer_with_values(lo + off, values(item));
