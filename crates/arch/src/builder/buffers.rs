@@ -148,7 +148,7 @@ impl BufferPlan {
 /// the minimum; [`distribute_slack`] raises it.
 ///
 /// This is the single definition of per-CE buffer demand — both the full
-/// [`plan_buffers`] pass and the per-segment builder hook
+/// `plan_buffers` pass and the per-segment builder hook
 /// (`MultipleCeBuilder::ce_context`) call it, so a segment planned alone
 /// is byte-identical to the same segment inside a whole-design plan.
 pub fn ce_needs(

@@ -2,9 +2,9 @@
 //! and figure of the paper's evaluation (§V) and measures the speed
 //! claims.
 //!
-//! Each experiment lives in [`experiments`] and is wrapped by a binary of
-//! the same name (`cargo run --release -p mccm-bench --bin table4`);
-//! `--bin all` runs the full evaluation and writes CSVs under `results/`.
+//! Each experiment lives in [`experiments`] and runs by name through the
+//! `mccm-bench` binary (`cargo run --release -p mccm-bench -- table4`);
+//! `-- all` runs the full evaluation and writes CSVs under `results/`.
 
 pub mod experiments;
 mod output;

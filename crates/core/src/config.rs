@@ -49,7 +49,7 @@ pub enum PipelineLatencyMode {
 /// Tunable evaluation parameters.
 ///
 /// The defaults reproduce the paper's methodology; the alternatives feed
-/// the ablation benches (`cargo run -p mccm-bench --bin ablation`).
+/// the ablation benches (`cargo run -p mccm-bench -- ablation`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// Pipelined-block latency evaluation mode.

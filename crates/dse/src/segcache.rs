@@ -293,7 +293,7 @@ impl CacheStats {
     }
 }
 
-/// Bounded per-island cache of [`SegmentCost`]s keyed by [`SegKey`],
+/// Bounded per-island cache of [`SegmentCost`]s keyed by `SegKey`,
 /// plus the reusable staging buffers of the delta path (one `SegCache`
 /// per island/worker — it is not shared across threads, which keeps
 /// eviction order deterministic per island).

@@ -3,11 +3,12 @@
 //!
 //! `mccm run scenario.json` is the canonical path: it parses a
 //! [`Scenario`], applies `--set key=value` overrides, executes it through
-//! a [`Session`], and prints the outcome's deterministic JSON. The legacy
-//! subcommands (`evaluate`, `sweep`, `explore`, `optimize`) are thin
-//! shims that assemble the equivalent scenario document and run it
-//! through the same session machinery — with `--json` they print exactly
-//! the bytes `mccm run` prints for the equivalent scenario file.
+//! a [`Session`], and prints the outcome's deterministic JSON. The six
+//! legacy subcommands are rows of one flag table over the scenario
+//! document, each writing its flag's value at a dotted path as `--set`
+//! does: with `--json` they print exactly the bytes `mccm run` prints for
+//! the equivalent scenario file (`validate` instead referees the design
+//! against the simulator).
 //!
 //! Flag parsing is strict: unknown and duplicate flags are rejected with
 //! the offending flag named (the old parser silently ignored both).
@@ -16,11 +17,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::cnn::zoo;
+use crate::core::CostModel;
 use crate::error::Error;
 use crate::fpga::FpgaBoard;
 use crate::json::Json;
-use crate::scenario::{apply_override, Scenario};
+use crate::scenario::{apply_override, set_path, Scenario};
+use crate::serve::Client;
 use crate::session::{Outcome, Session};
+use crate::sim::{SimConfig, Simulator};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -76,21 +80,18 @@ pub fn main_with_args(args: &[String], out: &mut dyn Write) -> Result<(), Error>
     match command.as_str() {
         "run" => cmd_run(rest, out),
         "serve" => cmd_serve(rest, out),
-        "stats" => cmd_stats(rest, out),
-        "shutdown" => cmd_shutdown(rest, out),
+        "stats" => cmd_control("stats", Client::stats, rest, out),
+        "shutdown" => cmd_control("shutdown", Client::shutdown, rest, out),
         "models" => cmd_models(rest, out),
         "boards" => cmd_boards(rest, out),
-        "evaluate" => cmd_evaluate(rest, out),
-        "validate" => cmd_validate(rest, out),
-        "sweep" => cmd_sweep(rest, out),
-        "explore" => cmd_explore(rest, out),
-        "optimize" => cmd_optimize(rest, out),
-        "calibrate" => cmd_calibrate(rest, out),
         "help" | "--help" | "-h" => {
             emit(out, format_args!("{USAGE}\n"))?;
             Ok(())
         }
-        other => Err(Error::Usage(format!("unknown command `{other}`\n{USAGE}"))),
+        other => match LEGACY.iter().find(|legacy| legacy.command == other) {
+            Some(legacy) => cmd_legacy(legacy, rest, out),
+            None => Err(Error::Usage(format!("unknown command `{other}`\n{USAGE}"))),
+        },
     }
 }
 
@@ -127,37 +128,33 @@ impl Flags {
     ) -> Result<Self, Error> {
         let mut seen: Vec<(String, Option<String>)> = Vec::new();
         let mut positionals = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if arg.starts_with("--") {
-                let Some(&(name, kind)) = spec.iter().find(|(n, _)| n == arg) else {
-                    let known: Vec<&str> = spec.iter().map(|(n, _)| *n).collect();
-                    return Err(Error::Usage(format!(
-                        "unknown flag `{arg}` for `mccm {command}` (expected {})",
-                        known.join(", ")
-                    )));
-                };
-                if kind != FlagKind::Repeatable && seen.iter().any(|(n, _)| n == name) {
-                    return Err(Error::Usage(format!(
-                        "duplicate flag `{name}` for `mccm {command}`"
-                    )));
-                }
-                let value = match kind {
-                    FlagKind::Switch => None,
-                    FlagKind::Value | FlagKind::Repeatable => {
-                        i += 1;
-                        let Some(v) = args.get(i) else {
-                            return Err(Error::Usage(format!("flag `{name}` needs a value")));
-                        };
-                        Some(v.clone())
-                    }
-                };
-                seen.push((name.to_string(), value));
-            } else {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
                 positionals.push(arg.clone());
+                continue;
             }
-            i += 1;
+            let Some(&(name, kind)) = spec.iter().find(|(n, _)| n == arg) else {
+                let known: Vec<&str> = spec.iter().map(|(n, _)| *n).collect();
+                return Err(Error::Usage(format!(
+                    "unknown flag `{arg}` for `mccm {command}` (expected {})",
+                    known.join(", ")
+                )));
+            };
+            if kind != FlagKind::Repeatable && seen.iter().any(|(n, _)| n == name) {
+                return Err(Error::Usage(format!(
+                    "duplicate flag `{name}` for `mccm {command}`"
+                )));
+            }
+            let value = match kind {
+                FlagKind::Switch => None,
+                FlagKind::Value | FlagKind::Repeatable => Some(
+                    args.next()
+                        .ok_or_else(|| Error::Usage(format!("flag `{name}` needs a value")))?
+                        .clone(),
+                ),
+            };
+            seen.push((name.to_string(), value));
         }
         Ok(Self {
             command,
@@ -192,13 +189,7 @@ impl Flags {
     }
 
     fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Error> {
-        match self.value(name) {
-            None => Ok(None),
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| Error::Usage(format!("flag `{name}` expects a number, got `{text}`"))),
-        }
+        self.value(name).map(|text| number(name, text)).transpose()
     }
 
     fn no_positionals(&self) -> Result<(), Error> {
@@ -210,6 +201,12 @@ impl Flags {
         }
         Ok(())
     }
+}
+
+/// Parses the value `text` of number flag `name`.
+fn number<T: std::str::FromStr>(name: &str, text: &str) -> Result<T, Error> {
+    text.parse()
+        .map_err(|_| Error::Usage(format!("flag `{name}` expects a number, got `{text}`")))
 }
 
 fn cmd_models(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
@@ -246,312 +243,168 @@ fn cmd_boards(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
     Ok(())
 }
 
-/// Shared flag spec of the scenario-backed legacy subcommands.
-const CONTEXT_FLAGS: [(&str, FlagKind); 3] = [
-    ("--model", FlagKind::Value),
-    ("--board", FlagKind::Value),
-    ("--json", FlagKind::Switch),
+/// How a legacy flag's value enters the scenario document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A JSON string, never JSON-parsed (`--store 42` stays a path).
+    Str,
+    /// A `u64`.
+    Num,
+    /// Comma-split and trimmed strings.
+    List,
+    /// A `u64` that also sets `schedule.mode = "depth_first"`.
+    DepthFirst,
+    /// A bare switch read by the printer (`--json`, `--verbose`).
+    Switch,
+}
+use Kind::{DepthFirst, List, Num, Str, Switch};
+
+/// One flag: its name, the dotted document path it writes, its kind.
+type Row = (&'static str, &'static str, Kind);
+
+/// One legacy subcommand: the document its rows write into (the `action`
+/// key it fills, with any fixed defaults), and its own rows after the
+/// shared [`CONTEXT`] ones.
+struct Legacy {
+    command: &'static str,
+    base: &'static str,
+    rows: &'static [Row],
+}
+
+/// The rows every legacy subcommand shares; both flags are required.
+#[rustfmt::skip]
+const CONTEXT: [Row; 2] = [("--model", "model.zoo", Str), ("--board", "board.builtin", Str)];
+
+/// The legacy subcommands as rows over the scenario document: each runs
+/// the document its flags assemble, as `mccm run` would (`validate`
+/// instead referees that document's design against the simulator).
+#[rustfmt::skip]
+const LEGACY: [Legacy; 6] = [
+    Legacy { command: "evaluate", base: r#"{"action": {"evaluate": {}}}"#, rows: &[
+        ("--json",       "",                         Switch),
+        ("--notation",   "action.evaluate.notation", Str),
+        ("--arch",       "action.evaluate.template", Str),
+        ("--ces",        "action.evaluate.ces",      Num),
+        ("--fuse-depth", "schedule.fuse_depth",      DepthFirst),
+        ("--precision",  "precision",                Str),
+        ("--batch",      "batch",                    Num),
+        ("--verbose",    "",                         Switch),
+    ] },
+    Legacy { command: "validate", base: r#"{"action": {"evaluate": {}}}"#, rows: &[
+        ("--notation",  "action.evaluate.notation", Str),
+        ("--arch",      "action.evaluate.template", Str),
+        ("--ces",       "action.evaluate.ces",      Num),
+        ("--precision", "precision",                Str),
+    ] },
+    Legacy { command: "sweep", base: r#"{"action": {"sweep": {}}}"#, rows: &[
+        ("--json",    "",                     Switch),
+        ("--min-ces", "action.sweep.min_ces", Num),
+        ("--max-ces", "action.sweep.max_ces", Num),
+        ("--workers", "workers",              Num),
+    ] },
+    Legacy { command: "explore", base: r#"{"action": {"sample": {"count": 2000}}}"#, rows: &[
+        ("--json",    "",                    Switch),
+        ("--samples", "action.sample.count", Num),
+        ("--seed",    "seed",                Num),
+        ("--workers", "workers",             Num),
+    ] },
+    Legacy { command: "optimize", base: r#"{"action": {"optimize": {}}}"#, rows: &[
+        ("--json",           "",                              Switch),
+        ("--budget",         "action.optimize.budget",         Num),
+        ("--population",     "action.optimize.population",     Num),
+        ("--islands",        "action.optimize.islands",        Num),
+        ("--max-fuse-depth", "action.optimize.max_fuse_depth", Num),
+        ("--seed",           "seed",                           Num),
+        ("--workers",        "workers",                        Num),
+        ("--metrics",        "action.optimize.metrics",        List),
+    ] },
+    Legacy { command: "calibrate", base: r#"{"action": {"calibrate": {}}}"#, rows: &[
+        ("--json",       "",                            Switch),
+        ("--budget",     "action.calibrate.budget",     Num),
+        ("--population", "action.calibrate.population", Num),
+        ("--islands",    "action.calibrate.islands",    Num),
+        ("--top-k",      "action.calibrate.top_k",      Num),
+        ("--store",      "action.calibrate.store",      Str),
+        ("--seed",       "seed",                        Num),
+        ("--workers",    "workers",                     Num),
+        ("--metrics",    "action.calibrate.metrics",    List),
+    ] },
 ];
 
-/// Assembles the scenario document every legacy shim starts from.
-fn context_json(flags: &Flags) -> Result<Json, Error> {
-    let mut root = Json::object();
-    let mut model = Json::object();
-    model.push("zoo", flags.require("--model")?);
-    root.push("model", model);
-    let mut board = Json::object();
-    board.push("builtin", flags.require("--board")?);
-    root.push("board", board);
-    Ok(root)
-}
-
-/// Runs an assembled scenario document and prints the outcome: canonical
-/// JSON with `--json`, human text otherwise.
-fn run_document(
-    root: &Json,
-    json_output: bool,
-    verbose: bool,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
-    let scenario = Scenario::from_json(root)?;
+/// Writes every flag of a legacy subcommand into its document and runs
+/// it: canonical JSON with `--json`, human text otherwise.
+fn cmd_legacy(legacy: &Legacy, args: &[String], out: &mut dyn Write) -> Result<(), Error> {
+    let rows: Vec<Row> = CONTEXT.iter().chain(legacy.rows).copied().collect();
+    let spec: Vec<(&str, FlagKind)> = rows
+        .iter()
+        .map(|&(flag, _, kind)| match kind {
+            Switch => (flag, FlagKind::Switch),
+            _ => (flag, FlagKind::Value),
+        })
+        .collect();
+    let flags = Flags::parse(legacy.command, args, &spec)?;
+    flags.no_positionals()?;
+    for (flag, _, _) in CONTEXT {
+        flags.require(flag)?;
+    }
+    if matches!(legacy.command, "evaluate" | "validate") {
+        check_design(legacy.command, &flags)?;
+    }
+    let mut root = Json::parse(legacy.base)?;
+    for (flag, path, kind) in rows {
+        let Some(text) = flags.value(flag) else {
+            continue;
+        };
+        let value = match kind {
+            Str => text.into(),
+            List => Json::Array(text.split(',').map(|m| m.trim().into()).collect()),
+            Num | DepthFirst => number::<u64>(flag, text)?.into(),
+            Switch => continue,
+        };
+        if kind == DepthFirst {
+            set_path(&mut root, "schedule.mode", "depth_first".into())?;
+        }
+        set_path(&mut root, path, value)?;
+    }
+    let scenario = Scenario::from_json(&root)?;
+    if legacy.command == "validate" {
+        return validate_report(&scenario, out);
+    }
     let outcome = Session::new().run(&scenario)?;
-    if json_output {
+    if flags.switch("--json") {
         emit(out, format_args!("{}", outcome.to_json_string()))
     } else {
-        render_human(&outcome, verbose, out)
+        render_human(&outcome, flags.switch("--verbose"), out)
     }
 }
 
-fn cmd_evaluate(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let spec: Vec<(&str, FlagKind)> = CONTEXT_FLAGS
-        .into_iter()
-        .chain([
-            ("--notation", FlagKind::Value),
-            ("--arch", FlagKind::Value),
-            ("--ces", FlagKind::Value),
-            ("--fuse-depth", FlagKind::Value),
-            ("--precision", FlagKind::Value),
-            ("--batch", FlagKind::Value),
-            ("--verbose", FlagKind::Switch),
-        ])
-        .collect();
-    let flags = Flags::parse("evaluate", args, &spec)?;
-    flags.no_positionals()?;
-    let mut root = context_json(&flags)?;
-    if let Some(p) = flags.value("--precision") {
-        root.push("precision", p);
-    }
-    if let Some(batch) = flags.parsed::<usize>("--batch")? {
-        root.push("batch", batch);
-    }
-    if let Some(depth) = flags.parsed::<usize>("--fuse-depth")? {
-        // Design-wide depth-first schedule on every single-CE
-        // assignment; depth 1 is exactly layer-by-layer.
-        let mut schedule = Json::object();
-        schedule.push("mode", "depth_first");
-        schedule.push("fuse_depth", depth);
-        root.push("schedule", schedule);
-    }
-    let mut action = Json::object();
-    action.push("evaluate", design_body("evaluate", &flags)?);
-    root.push("action", action);
-    run_document(
-        &root,
-        flags.switch("--json"),
-        flags.switch("--verbose"),
-        out,
-    )
+/// The one hand-written usage check, of the `evaluate` and `validate` rows:
+/// exactly one of `--notation` or `--arch --ces` (`--ces` alongside
+/// `--notation` is an error, as in the scenario parser, not dropped).
+fn check_design(command: &str, flags: &Flags) -> Result<(), Error> {
+    let given = |flag: &str| flags.value(flag).is_some();
+    let problem = match (given("--notation"), given("--arch"), given("--ces")) {
+        (true, false, true) => "`--ces` only applies to `--arch` designs, not `--notation`".into(),
+        (false, true, false) => "`--arch` requires `--ces <count>`".into(),
+        (true, false, _) | (false, true, _) => return Ok(()),
+        _ => format!("`mccm {command}` needs exactly one of `--notation` or `--arch`"),
+    };
+    Err(Error::Usage(problem))
 }
 
-/// The `evaluate`-action body shared by the `evaluate` and `validate`
-/// shims: exactly one of `--notation` or `--arch --ces`, with the same
-/// rejection the scenario parser applies (`--ces` alongside `--notation`
-/// is an error, not silently dropped).
-fn design_body(command: &str, flags: &Flags) -> Result<Json, Error> {
-    let mut body = Json::object();
-    match (flags.value("--notation"), flags.value("--arch")) {
-        (Some(text), None) => {
-            if flags.value("--ces").is_some() {
-                return Err(Error::Usage(
-                    "`--ces` only applies to `--arch` designs, not `--notation`".into(),
-                ));
-            }
-            body.push("notation", text);
-        }
-        (None, Some(arch)) => {
-            body.push("template", arch.to_ascii_lowercase());
-            body.push(
-                "ces",
-                flags
-                    .parsed::<usize>("--ces")?
-                    .ok_or_else(|| Error::Usage("`--arch` requires `--ces <count>`".into()))?,
-            );
-        }
-        _ => {
-            return Err(Error::Usage(format!(
-                "`mccm {command}` needs exactly one of `--notation` or `--arch`"
-            )))
-        }
-    }
-    Ok(body)
-}
-
-fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let spec: Vec<(&str, FlagKind)> = CONTEXT_FLAGS
-        .into_iter()
-        .chain([
-            ("--min-ces", FlagKind::Value),
-            ("--max-ces", FlagKind::Value),
-            ("--workers", FlagKind::Value),
-        ])
-        .collect();
-    let flags = Flags::parse("sweep", args, &spec)?;
-    flags.no_positionals()?;
-    let mut root = context_json(&flags)?;
-    if let Some(w) = flags.parsed::<usize>("--workers")? {
-        root.push("workers", w);
-    }
-    let mut body = Json::object();
-    if let Some(n) = flags.parsed::<usize>("--min-ces")? {
-        body.push("min_ces", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--max-ces")? {
-        body.push("max_ces", n);
-    }
-    let mut action = Json::object();
-    action.push("sweep", body);
-    root.push("action", action);
-    run_document(&root, flags.switch("--json"), false, out)
-}
-
-fn cmd_explore(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let spec: Vec<(&str, FlagKind)> = CONTEXT_FLAGS
-        .into_iter()
-        .chain([
-            ("--samples", FlagKind::Value),
-            ("--seed", FlagKind::Value),
-            ("--workers", FlagKind::Value),
-        ])
-        .collect();
-    let flags = Flags::parse("explore", args, &spec)?;
-    flags.no_positionals()?;
-    let mut root = context_json(&flags)?;
-    if let Some(seed) = flags.parsed::<u64>("--seed")? {
-        root.push("seed", seed);
-    }
-    if let Some(w) = flags.parsed::<usize>("--workers")? {
-        root.push("workers", w);
-    }
-    let mut body = Json::object();
-    body.push(
-        "count",
-        flags.parsed::<usize>("--samples")?.unwrap_or(2_000),
-    );
-    let mut action = Json::object();
-    action.push("sample", body);
-    root.push("action", action);
-    run_document(&root, flags.switch("--json"), false, out)
-}
-
-fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let spec: Vec<(&str, FlagKind)> = CONTEXT_FLAGS
-        .into_iter()
-        .chain([
-            ("--budget", FlagKind::Value),
-            ("--population", FlagKind::Value),
-            ("--islands", FlagKind::Value),
-            ("--max-fuse-depth", FlagKind::Value),
-            ("--seed", FlagKind::Value),
-            ("--workers", FlagKind::Value),
-            ("--metrics", FlagKind::Value),
-        ])
-        .collect();
-    let flags = Flags::parse("optimize", args, &spec)?;
-    flags.no_positionals()?;
-    let mut root = context_json(&flags)?;
-    if let Some(seed) = flags.parsed::<u64>("--seed")? {
-        root.push("seed", seed);
-    }
-    if let Some(w) = flags.parsed::<usize>("--workers")? {
-        root.push("workers", w);
-    }
-    let mut body = Json::object();
-    if let Some(list) = flags.value("--metrics") {
-        let names: Vec<Json> = list
-            .split(',')
-            .map(|m| Json::from(m.trim().to_ascii_lowercase()))
-            .collect();
-        body.push("metrics", names);
-    }
-    if let Some(n) = flags.parsed::<u64>("--budget")? {
-        body.push("budget", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--population")? {
-        body.push("population", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--islands")? {
-        body.push("islands", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--max-fuse-depth")? {
-        body.push("max_fuse_depth", n);
-    }
-    let mut action = Json::object();
-    action.push("optimize", body);
-    root.push("action", action);
-    run_document(&root, flags.switch("--json"), false, out)
-}
-
-fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let spec: Vec<(&str, FlagKind)> = CONTEXT_FLAGS
-        .into_iter()
-        .chain([
-            ("--budget", FlagKind::Value),
-            ("--population", FlagKind::Value),
-            ("--islands", FlagKind::Value),
-            ("--top-k", FlagKind::Value),
-            ("--store", FlagKind::Value),
-            ("--seed", FlagKind::Value),
-            ("--workers", FlagKind::Value),
-            ("--metrics", FlagKind::Value),
-        ])
-        .collect();
-    let flags = Flags::parse("calibrate", args, &spec)?;
-    flags.no_positionals()?;
-    let mut root = context_json(&flags)?;
-    if let Some(seed) = flags.parsed::<u64>("--seed")? {
-        root.push("seed", seed);
-    }
-    if let Some(w) = flags.parsed::<usize>("--workers")? {
-        root.push("workers", w);
-    }
-    let mut body = Json::object();
-    if let Some(list) = flags.value("--metrics") {
-        let names: Vec<Json> = list
-            .split(',')
-            .map(|m| Json::from(m.trim().to_ascii_lowercase()))
-            .collect();
-        body.push("metrics", names);
-    }
-    if let Some(n) = flags.parsed::<u64>("--budget")? {
-        body.push("budget", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--population")? {
-        body.push("population", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--islands")? {
-        body.push("islands", n);
-    }
-    if let Some(n) = flags.parsed::<usize>("--top-k")? {
-        body.push("top_k", n);
-    }
-    if let Some(path) = flags.value("--store") {
-        body.push("store", path);
-    }
-    let mut action = Json::object();
-    action.push("calibrate", body);
-    root.push("action", action);
-    run_document(&root, flags.switch("--json"), false, out)
-}
-
-fn cmd_validate(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    use crate::core::CostModel;
-    use crate::sim::{SimConfig, Simulator};
-
-    let flag_spec: Vec<(&str, FlagKind)> = vec![
-        ("--model", FlagKind::Value),
-        ("--board", FlagKind::Value),
-        ("--notation", FlagKind::Value),
-        ("--arch", FlagKind::Value),
-        ("--ces", FlagKind::Value),
-        ("--precision", FlagKind::Value),
-    ];
-    let flags = Flags::parse("validate", args, &flag_spec)?;
-    flags.no_positionals()?;
-    // Reuse the scenario plumbing to resolve names and the design, then
-    // run the simulator (validation is a model-vs-simulator check, not a
-    // scenario action).
-    let mut root = context_json(&flags)?;
-    if let Some(p) = flags.value("--precision") {
-        root.push("precision", p);
-    }
-    let mut action = Json::object();
-    action.push("evaluate", design_body("validate", &flags)?);
-    root.push("action", action);
-    let scenario = Scenario::from_json(&root)?;
+/// `mccm validate`: the document's design as the model estimates it and
+/// the simulator measures it (a check, not a scenario action).
+fn validate_report(scenario: &Scenario, out: &mut dyn Write) -> Result<(), Error> {
     let model = scenario.model.build()?;
     let board = scenario.board.build()?;
-    let builder =
-        crate::arch::MultipleCeBuilder::new(&model, &board).with_precision(scenario.precision);
-    let design = match &scenario.action {
-        crate::scenario::Action::Evaluate { design } => design.clone(),
-        _ => unreachable!("assembled above"),
+    let crate::scenario::Action::Evaluate { design } = &scenario.action else {
+        unreachable!("the validate rows fill `action.evaluate`");
     };
-    let spec = design.instantiate(&model)?;
-    let acc = builder.build(&spec)?;
+    let acc = crate::arch::MultipleCeBuilder::new(&model, &board)
+        .with_precision(scenario.precision)
+        .build(&design.instantiate(&model)?)?;
     let eval = CostModel::evaluate(&acc);
-    let config = SimConfig::default();
-    config.validate()?;
-    let sim = Simulator::new(config).run_with_eval(&acc, &eval);
+    let sim = Simulator::new(SimConfig::default()).run_with_eval(&acc, &eval);
     emit(out, format_args!("design: {}\n", eval.notation))?;
     emit(
         out,
@@ -699,19 +552,16 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
     emit(out, format_args!("{}", stats.to_json().to_string_pretty()))
 }
 
-fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let flags = Flags::parse("stats", args, &[("--connect", FlagKind::Value)])?;
+/// `mccm stats` and `mccm shutdown`: one control request to a daemon.
+fn cmd_control(
+    command: &'static str,
+    request: fn(&mut Client) -> Result<Json, Error>,
+    args: &[String],
+    out: &mut dyn Write,
+) -> Result<(), Error> {
+    let flags = Flags::parse(command, args, &[("--connect", FlagKind::Value)])?;
     flags.no_positionals()?;
-    let addr = flags.require("--connect")?;
-    let response = crate::serve::Client::connect(addr)?.stats()?;
-    emit(out, format_args!("{}", response.to_string_pretty()))
-}
-
-fn cmd_shutdown(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
-    let flags = Flags::parse("shutdown", args, &[("--connect", FlagKind::Value)])?;
-    flags.no_positionals()?;
-    let addr = flags.require("--connect")?;
-    let response = crate::serve::Client::connect(addr)?.shutdown()?;
+    let response = request(&mut Client::connect(flags.require("--connect")?)?)?;
     emit(out, format_args!("{}", response.to_string_pretty()))
 }
 

@@ -580,6 +580,12 @@ impl Scenario {
 /// grown), every error naming the full dotted path.
 pub fn apply_override(root: &mut Json, path: &str, raw: &str) -> Result<(), Error> {
     let value = Json::parse(raw).unwrap_or_else(|_| Json::Str(raw.to_string()));
+    set_path(root, path, value)
+}
+
+/// The path walk of [`apply_override`]: writes an already-typed `value`
+/// at the dotted `path`, with the same descent rules and errors.
+pub(crate) fn set_path(root: &mut Json, path: &str, value: Json) -> Result<(), Error> {
     let segments: Vec<&str> = path.split('.').collect();
     if segments.iter().any(|s| s.is_empty()) {
         return Err(Error::scenario(path, "override path has an empty segment"));

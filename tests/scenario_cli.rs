@@ -22,14 +22,15 @@ fn example_scenario(name: &str) -> String {
         .into_owned()
 }
 
-/// The acceptance bar: `mccm run <file>` produces byte-identical JSON to
-/// the equivalent legacy subcommand invocation, for every checked-in
-/// scenario file.
+/// The acceptance bar: `mccm run <file> [--set ...]` produces
+/// byte-identical JSON to the equivalent legacy subcommand invocation, for
+/// every checked-in scenario file and for the flags no file sets.
 #[test]
 fn run_matches_legacy_subcommands_byte_for_byte() {
-    let cases: [(&str, Vec<&str>); 5] = [
+    let cases: [(&str, Vec<&str>, Vec<&str>); 7] = [
         (
             "evaluate.json",
+            vec![],
             vec![
                 "evaluate", "--model", "xception", "--board", "vcu110", "--arch", "hybrid",
                 "--ces", "7", "--batch", "8", "--json",
@@ -37,6 +38,7 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
         ),
         (
             "sweep.json",
+            vec![],
             vec![
                 "sweep",
                 "--model",
@@ -52,6 +54,7 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
         ),
         (
             "sample.json",
+            vec![],
             vec![
                 "explore",
                 "--model",
@@ -67,6 +70,7 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
         ),
         (
             "optimize.json",
+            vec![],
             vec![
                 "optimize",
                 "--model",
@@ -86,6 +90,7 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
         ),
         (
             "calibrate.json",
+            vec![],
             vec![
                 "calibrate",
                 "--model",
@@ -101,12 +106,74 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
                 "--json",
             ],
         ),
+        (
+            "evaluate.json",
+            vec![
+                "schedule.mode=depth_first",
+                "schedule.fuse_depth=2",
+                "precision=int16",
+            ],
+            vec![
+                "evaluate",
+                "--model",
+                "xception",
+                "--board",
+                "vcu110",
+                "--arch",
+                "hybrid",
+                "--ces",
+                "7",
+                "--batch",
+                "8",
+                "--fuse-depth",
+                "2",
+                "--precision",
+                "int16",
+                "--json",
+            ],
+        ),
+        (
+            "optimize.json",
+            vec![
+                "action.optimize.budget=120",
+                "action.optimize.population=8",
+                r#"action.optimize.metrics=["latency","throughput"]"#,
+                "workers=2",
+                "action.optimize.max_fuse_depth=2",
+            ],
+            vec![
+                "optimize",
+                "--model",
+                "mobilenetv2",
+                "--board",
+                "vcu108",
+                "--budget",
+                "120",
+                "--population",
+                "8",
+                "--islands",
+                "2",
+                "--seed",
+                "1",
+                "--metrics",
+                "Latency,throughput",
+                "--workers",
+                "2",
+                "--max-fuse-depth",
+                "2",
+                "--json",
+            ],
+        ),
     ];
-    for (file, legacy) in cases {
+    for (file, sets, legacy) in cases {
         let path = example_scenario(file);
-        let from_scenario = run_cli(&["run", &path]).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let mut run = vec!["run", path.as_str()];
+        for set in &sets {
+            run.extend(["--set", set]);
+        }
+        let from_scenario = run_cli(&run).unwrap_or_else(|e| panic!("{file} {sets:?}: {e}"));
         let from_legacy = run_cli(&legacy).unwrap_or_else(|e| panic!("{legacy:?}: {e}"));
-        assert_eq!(from_scenario, from_legacy, "{file} vs {legacy:?}");
+        assert_eq!(from_scenario, from_legacy, "{file} {sets:?} vs {legacy:?}");
         // And the output is valid JSON tagged with its action.
         let parsed = Json::parse(&from_scenario).unwrap();
         let action = file.strip_suffix(".json").unwrap();
@@ -288,6 +355,43 @@ fn unknown_and_duplicate_flags_are_regression_locked() {
     // Missing value.
     let err = run_cli(&["optimize", "--model"]).unwrap_err().to_string();
     assert!(err.contains("needs a value"), "{err}");
+    // A non-number for a number flag is a usage error naming the flag.
+    let err = run_cli(&[
+        "optimize",
+        "--model",
+        "mobilenetv2",
+        "--board",
+        "zc706",
+        "--budget",
+        "abc",
+    ])
+    .unwrap_err();
+    assert!(matches!(err, Error::Usage(_)), "{err:?}");
+    assert_eq!(err.exit_code(), 2);
+    assert!(err.to_string().contains("--budget"), "{err}");
+    // String flags are never JSON-parsed: `--model 123` stays the name
+    // `123` rather than becoming a number.
+    let err = run_cli(&[
+        "evaluate", "--model", "123", "--board", "zc706", "--arch", "hybrid", "--ces", "4",
+    ])
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("model.zoo"), "{err}");
+    assert!(err.contains("unknown name `123`"), "{err}");
+    // `--ces` beside `--notation` stays a usage error.
+    let err = run_cli(&[
+        "evaluate",
+        "--model",
+        "resnet50",
+        "--board",
+        "zc706",
+        "--notation",
+        "{L1-Last: CE1-CE4}",
+        "--ces",
+        "9",
+    ])
+    .unwrap_err();
+    assert_eq!(err.exit_code(), 2, "{err}");
 }
 
 /// `mccm run --connect` against a daemon prints exactly the bytes of a
