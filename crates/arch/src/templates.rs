@@ -151,26 +151,14 @@ pub fn hybrid(model: &CnnModel, ces: usize) -> Result<AcceleratorSpec, ArchError
 /// Hybrid-like pipelined head over the first `head_layers` layers followed
 /// by Segmented-like single-CE segments whose boundaries are given as
 /// exclusive layer end indices (each > `head_layers`, strictly increasing,
-/// last equal to the layer count).
+/// last equal to the layer count). Every tail segment carries
+/// `tail_schedule` (the schedule-extended design space's axis); the
+/// pipelined head is always layer-by-layer.
 ///
 /// # Errors
 ///
 /// Returns [`ArchError::Infeasible`] on malformed boundaries.
 pub fn custom_hybrid_segmented(
-    model: &CnnModel,
-    head_layers: usize,
-    tail_ends: &[usize],
-) -> Result<AcceleratorSpec, ArchError> {
-    custom_hybrid_segmented_scheduled(model, head_layers, tail_ends, Schedule::LayerByLayer)
-}
-
-/// [`custom_hybrid_segmented`] with every tail (single-CE) segment carrying
-/// `tail_schedule` — the shape the schedule-extended design space explores.
-///
-/// # Errors
-///
-/// Returns [`ArchError::Infeasible`] on malformed boundaries.
-pub fn custom_hybrid_segmented_scheduled(
     model: &CnnModel,
     head_layers: usize,
     tail_ends: &[usize],
@@ -366,14 +354,15 @@ mod tests {
     fn custom_template() {
         let m = zoo::xception();
         let n = m.conv_layer_count();
-        let spec = custom_hybrid_segmented(&m, 4, &[30, 50, n]).unwrap();
+        let lbl = Schedule::LayerByLayer;
+        let spec = custom_hybrid_segmented(&m, 4, &[30, 50, n], lbl).unwrap();
         let segs = spec.segments(n).unwrap();
         assert_eq!(segs.len(), 4);
         assert_eq!(segs[0].len(), 4);
         assert_eq!(spec.ce_count(), 7);
-        assert!(custom_hybrid_segmented(&m, 4, &[30, 50]).is_err());
-        assert!(custom_hybrid_segmented(&m, 0, &[n]).is_err());
-        assert!(custom_hybrid_segmented(&m, 4, &[2, n]).is_err());
+        assert!(custom_hybrid_segmented(&m, 4, &[30, 50], lbl).is_err());
+        assert!(custom_hybrid_segmented(&m, 0, &[n], lbl).is_err());
+        assert!(custom_hybrid_segmented(&m, 4, &[2, n], lbl).is_err());
     }
 
     #[test]
@@ -381,19 +370,20 @@ mod tests {
         let m = zoo::xception();
         let n = m.conv_layer_count();
         let df = Schedule::DepthFirst { fuse_depth: 3 };
-        let spec = custom_hybrid_segmented_scheduled(&m, 4, &[30, 50, n], df).unwrap();
+        let spec = custom_hybrid_segmented(&m, 4, &[30, 50, n], df).unwrap();
         // The pipelined head stays layer-by-layer; every tail segment
         // carries the requested schedule.
         assert_eq!(spec.assignments[0].schedule, Schedule::LayerByLayer);
         for a in &spec.assignments[1..] {
             assert_eq!(a.schedule, df);
         }
-        // The default wrapper is the layer-by-layer special case.
-        let lbl = custom_hybrid_segmented(&m, 4, &[30, 50, n]).unwrap();
-        assert_eq!(
-            custom_hybrid_segmented_scheduled(&m, 4, &[30, 50, n], Schedule::LayerByLayer).unwrap(),
-            lbl
-        );
+        // A layer-by-layer tail changes only the schedules.
+        let lbl = custom_hybrid_segmented(&m, 4, &[30, 50, n], Schedule::LayerByLayer).unwrap();
+        assert_eq!(lbl.assignments.len(), spec.assignments.len());
+        for (l, d) in lbl.assignments.iter().zip(&spec.assignments) {
+            assert_eq!(l.schedule, Schedule::LayerByLayer);
+            assert_eq!((&l.range, &l.block), (&d.range, &d.block));
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Design-space exploration throughput: sampled designs fully evaluated
-//! per second (Fig. 10's enabling quantity), plus the selection and
-//! Pareto machinery.
+//! Design-space exploration throughput: sampled designs evaluated per
+//! second (Fig. 10's enabling quantity), plus the selection and Pareto
+//! machinery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use mccm_cnn::zoo;
-use mccm_core::Metric;
-use mccm_dse::{pareto_front, select_all_metrics, Explorer, PAPER_TIE_FRAC};
+use mccm_core::{EvalScratch, Metric};
+use mccm_dse::{par_pareto_indices, select_all_metrics, Explorer, PAPER_TIE_FRAC};
 use mccm_fpga::FpgaBoard;
 
 fn bench_custom_sampling(c: &mut Criterion) {
@@ -22,7 +22,11 @@ fn bench_custom_sampling(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(explorer.par_sample_custom(count, seed, 1).unwrap())
+                black_box(
+                    explorer
+                        .par_sample_custom_summaries(count, seed, 1)
+                        .unwrap(),
+                )
             })
         });
     }
@@ -30,31 +34,33 @@ fn bench_custom_sampling(c: &mut Criterion) {
 }
 
 fn bench_lane_comparison(c: &mut Criterion) {
-    // Full rich-report lane vs the summary fast lane over the identical
-    // seeded design stream: the per-candidate cost a sweep actually pays.
+    // Full rich-report lane vs the summary fast lane over the same
+    // sampled designs: the per-candidate cost a sweep actually pays.
     let model = zoo::xception();
     let board = FpgaBoard::vcu110();
     let explorer = Explorer::new(&model, &board);
     let mut g = c.benchmark_group("dse_eval_lanes");
     g.sample_size(10);
     let count = 200usize;
+    let (points, _) = explorer.par_sample_custom_summaries(count, 1, 1).unwrap();
+    let specs: Vec<_> = points
+        .iter()
+        .map(|p| p.design.to_spec(&model).unwrap())
+        .collect();
     g.throughput(Throughput::Elements(count as u64));
     g.bench_function("full_lane", |b| {
-        let mut seed = 0u64;
         b.iter(|| {
-            seed += 1;
-            black_box(explorer.par_sample_custom(count, seed, 1).unwrap())
+            for spec in &specs {
+                black_box(explorer.evaluate(spec).unwrap());
+            }
         })
     });
     g.bench_function("summary_fast_lane", |b| {
-        let mut seed = 0u64;
+        let mut scratch = EvalScratch::new();
         b.iter(|| {
-            seed += 1;
-            black_box(
-                explorer
-                    .par_sample_custom_summaries(count, seed, 1)
-                    .unwrap(),
-            )
+            for spec in &specs {
+                black_box(explorer.evaluate_summary(spec, &mut scratch).unwrap());
+            }
         })
     });
     g.finish();
@@ -83,9 +89,10 @@ fn bench_selection_and_pareto(c: &mut Criterion) {
     });
     c.bench_function("pareto_front_30pts", |b| {
         b.iter(|| {
-            black_box(pareto_front(
+            black_box(par_pareto_indices(
                 black_box(&evals),
                 &[Metric::Throughput, Metric::OnChipBuffers],
+                1,
             ))
         })
     });

@@ -16,15 +16,6 @@ use mccm_fpga::FpgaBoard;
 
 use crate::space::{CustomDesign, CustomSpace};
 
-/// One evaluated design.
-#[derive(Debug, Clone)]
-pub struct DesignPoint {
-    /// The specification.
-    pub spec: AcceleratorSpec,
-    /// Its evaluation.
-    pub eval: Evaluation,
-}
-
 /// A baseline instance: architecture, CE count, evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselinePoint {
@@ -37,8 +28,8 @@ pub struct BaselinePoint {
 }
 
 /// A custom-space design with its lean evaluation summary — the record
-/// big sweeps accumulate instead of full [`DesignPoint`]s, so 100k-design
-/// runs stop cloning the heavy per-segment/per-engine/per-layer vectors.
+/// sampled and enumerated sweeps accumulate, so 100k-design runs never
+/// build the heavy per-segment/per-engine/per-layer vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomPoint {
     /// The sampled (or enumerated) design.
@@ -112,12 +103,9 @@ impl Explorer {
     /// # Errors
     ///
     /// Propagates builder validation errors.
-    pub fn evaluate(&self, spec: &AcceleratorSpec) -> Result<DesignPoint, ArchError> {
+    pub fn evaluate(&self, spec: &AcceleratorSpec) -> Result<Evaluation, ArchError> {
         let acc = self.builder.build(spec)?;
-        Ok(DesignPoint {
-            spec: spec.clone(),
-            eval: CostModel::evaluate(&acc),
-        })
+        Ok(CostModel::evaluate(&acc))
     }
 
     /// Builds and evaluates one specification through the summary fast
@@ -150,37 +138,20 @@ impl Explorer {
             Err(e) => return Err(e),
         };
         match self.evaluate(&spec) {
-            Ok(point) => Ok(Some(BaselinePoint {
+            Ok(eval) => Ok(Some(BaselinePoint {
                 architecture,
                 ces,
-                eval: point.eval,
+                eval,
             })),
             Err(ArchError::Infeasible { .. }) => Ok(None),
             Err(e) => Err(e),
         }
     }
 
-    /// Evaluates a sampled custom design: `Ok(None)` when infeasible,
-    /// `Err` on real faults.
-    pub(crate) fn custom_cell(
-        &self,
-        design: &CustomDesign,
-    ) -> Result<Option<DesignPoint>, ArchError> {
-        let spec = match design.to_spec(&self.model) {
-            Ok(spec) => spec,
-            Err(ArchError::Infeasible { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        match self.evaluate(&spec) {
-            Ok(point) => Ok(Some(point)),
-            Err(ArchError::Infeasible { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Fast-lane twin of [`Self::custom_cell`]: summary-only evaluation
-    /// with reused scratch buffers — `Ok(None)` when infeasible, `Err` on
-    /// real faults. Produces exactly `custom_cell(d)?.eval.summary()`.
+    /// Evaluates a sampled or enumerated custom design through the
+    /// summary fast lane, with reused scratch buffers — `Ok(None)` when
+    /// infeasible, `Err` on real faults. Produces exactly
+    /// `evaluate(&d.to_spec(..)?)?.summary()`.
     pub(crate) fn custom_summary_cell(
         &self,
         design: &CustomDesign,
@@ -240,7 +211,7 @@ mod tests {
         let spec = mccm_arch::templates::segmented(&m, 3).unwrap();
         let a = fresh.evaluate(&spec).unwrap();
         let b = wrapped.evaluate(&spec).unwrap();
-        assert_eq!(a.eval, b.eval);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -256,12 +227,12 @@ mod tests {
     fn custom_sampling_produces_valid_points() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let (points, elapsed) = e.par_sample_custom(50, 9, 1).unwrap();
+        let (points, elapsed) = e.par_sample_custom_summaries(50, 9, 1).unwrap();
         assert_eq!(points.len(), 50);
         assert!(elapsed.as_nanos() > 0);
         for p in &points {
-            assert!(p.eval.latency_s > 0.0);
-            assert!((2..=11).contains(&p.eval.ce_count));
+            assert!(p.summary.latency_s > 0.0);
+            assert!((2..=11).contains(&p.summary.ce_count));
         }
     }
 
@@ -269,11 +240,11 @@ mod tests {
     fn summaries_match_full_points() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (full, _) = e.par_sample_custom(25, 4, 1).unwrap();
         let (lean, _) = e.par_sample_custom_summaries(25, 4, 1).unwrap();
-        assert_eq!(full.len(), lean.len());
-        for (f, l) in full.iter().zip(&lean) {
-            assert_eq!(f.eval.summary(), l.summary);
+        assert_eq!(lean.len(), 25);
+        for l in &lean {
+            let full = e.evaluate(&l.design.to_spec(&m).unwrap()).unwrap();
+            assert_eq!(full.summary(), l.summary);
         }
     }
 
@@ -288,10 +259,10 @@ mod tests {
             .iter()
             .map(|p| Metric::OnChipBuffers.value(&p.eval))
             .fold(f64::INFINITY, f64::min);
-        let (points, _) = e.par_sample_custom(120, 11, 1).unwrap();
+        let (points, _) = e.par_sample_custom_summaries(120, 11, 1).unwrap();
         let best_custom = points
             .iter()
-            .map(|p| Metric::OnChipBuffers.value(&p.eval))
+            .map(|p| Metric::OnChipBuffers.value(&p.summary))
             .fold(f64::INFINITY, f64::min);
         // Customs should at least approach the baseline best (within 2x).
         assert!(
@@ -304,10 +275,10 @@ mod tests {
     fn sampling_is_deterministic() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (a, _) = e.par_sample_custom(20, 5, 1).unwrap();
-        let (b, _) = e.par_sample_custom(20, 5, 1).unwrap();
-        let na: Vec<_> = a.iter().map(|p| p.eval.notation.clone()).collect();
-        let nb: Vec<_> = b.iter().map(|p| p.eval.notation.clone()).collect();
+        let (a, _) = e.par_sample_custom_summaries(20, 5, 1).unwrap();
+        let (b, _) = e.par_sample_custom_summaries(20, 5, 1).unwrap();
+        let na: Vec<_> = a.iter().map(|p| p.summary.notation.clone()).collect();
+        let nb: Vec<_> = b.iter().map(|p| p.summary.notation.clone()).collect();
         assert_eq!(na, nb);
     }
 
@@ -321,7 +292,7 @@ mod tests {
         let tiny = FpgaBoard::new("tiny", 1, mccm_fpga::MiB(0.5), 1.0);
         let e = Explorer::new(&m, &tiny);
         for workers in [1usize, 4] {
-            match e.par_sample_custom(100, 1, workers) {
+            match e.par_sample_custom_summaries(100, 1, workers) {
                 Err(ExploreError::AttemptsExhausted {
                     wanted,
                     got,

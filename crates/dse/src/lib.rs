@@ -15,12 +15,12 @@
 //! supports full lexicographic enumeration with rank/unrank for
 //! contiguous sharding ([`CustomSpace::designs`], [`CustomSpace::shards`]).
 //!
-//! `par_sample_custom_summaries` (and `par_evaluate_space`) run on the
-//! **summary fast lane**: per-worker `EvalScratch` buffers feed
-//! `CostModel::evaluate_summary`, whose output is bit-identical to
-//! `evaluate(...).summary()` but skips all report construction — the
-//! rich lane, `par_sample_custom`, returns [`DesignPoint`]s when
-//! per-segment / per-layer breakdowns are needed.
+//! Sampled and enumerated custom designs (`par_sample_custom_summaries`,
+//! `par_evaluate_space`) run on one lane, the **summary fast lane**:
+//! per-worker `EvalScratch` buffers feed `CostModel::evaluate_summary`,
+//! whose output is bit-identical to `evaluate(...).summary()` but skips
+//! all report construction. A design that needs its per-segment /
+//! per-layer breakdown goes through [`Explorer::evaluate`] on its own.
 //!
 //! ```
 //! use mccm_cnn::zoo;
@@ -52,13 +52,13 @@ mod space;
 
 pub use enumerate::DesignIter;
 pub use error::ExploreError;
-pub use explorer::{default_max_attempts, BaselinePoint, CustomPoint, DesignPoint, Explorer};
+pub use explorer::{default_max_attempts, BaselinePoint, CustomPoint, Explorer};
 /// Re-exported from `mccm-core` so existing `mccm_dse::CancelToken`
 /// call sites keep working (the simulator shares the same token type).
 pub use mccm_core::CancelToken;
 pub use optimizer::{GuidedFront, OptimizerConfig};
 pub use parallel::{par_pareto_indices, SampleRun, EXHAUSTIVE_LIMIT};
-pub use pareto::{pareto_front, ParetoFront};
+pub use pareto::ParetoFront;
 pub use quality::{
     compare_fronts, coverage, hypervolume, union_bounds, FrontComparison, MetricBounds,
 };

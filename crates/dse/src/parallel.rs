@@ -27,7 +27,7 @@ use mccm_arch::{templates, ArchError};
 use mccm_core::{EvalScratch, Metric, MetricSource};
 
 use crate::error::ExploreError;
-use crate::explorer::{default_max_attempts, BaselinePoint, CustomPoint, DesignPoint, Explorer};
+use crate::explorer::{default_max_attempts, BaselinePoint, CustomPoint, Explorer};
 use crate::pareto::ParetoFront;
 use crate::sampler::{sample_attempt, CustomSampler};
 use crate::space::{CustomDesign, CustomSpace};
@@ -36,13 +36,14 @@ use mccm_core::CancelToken;
 /// Largest space [`Explorer::par_evaluate_space`] will walk exhaustively.
 pub const EXHAUSTIVE_LIMIT: u128 = 1 << 20;
 
-/// The per-design evaluation hook of [`sample_engine`]: `Ok(Some(T))`
-/// feasible, `Ok(None)` infeasible (skipped), `Err` a real fault. The
+/// The outcome of evaluating one drawn design: `Ok(Some(_))` feasible,
+/// `Ok(None)` infeasible (skipped), `Err` a real fault.
+type Cell = Result<Option<CustomPoint>, ArchError>;
+
+/// The per-design evaluation hook of [`sample_engine`]. The
 /// [`EvalScratch`] is per-worker (one per thread, one for the inline
-/// path), so summary-lane hooks evaluate without steady-state allocation;
-/// full-lane hooks simply ignore it.
-type EvalFn<'a, T> =
-    &'a (dyn Fn(&Explorer, &CustomDesign, &mut EvalScratch) -> Result<Option<T>, ArchError> + Sync);
+/// path), so the hook evaluates without steady-state allocation.
+type EvalFn<'a> = &'a (dyn Fn(&Explorer, &CustomDesign, &mut EvalScratch) -> Cell + Sync);
 
 /// Resolves a worker-count knob: `0` means "one per available core".
 /// Results are worker-count invariant, so the knob is silently capped at
@@ -94,12 +95,12 @@ pub(crate) fn run_chunks<C: Send, R: Send>(chunks: Vec<C>, job: impl Fn(C) -> R 
 /// attempt-stream position reached, and whether cancellation cut the
 /// sweep short.
 #[derive(Debug, Clone)]
-pub struct SampleRun<T> {
+pub struct SampleRun {
     /// Feasible designs in attempt order. When `cancelled` is false this
     /// holds exactly the requested count; when true, the feasible designs
     /// among the first `attempts` attempts — a prefix of the un-cancelled
     /// result.
-    pub points: Vec<T>,
+    pub points: Vec<CustomPoint>,
     /// Attempts consumed from the counter-based stream (feasible or not).
     pub attempts: u64,
     /// Whether the token skipped an attempt before `count` feasible
@@ -114,9 +115,9 @@ pub struct SampleRun<T> {
 /// in attempt order, and caps total attempts at
 /// [`default_max_attempts`]`(count)`.
 ///
-/// `eval` maps a drawn design to `Ok(Some(T))` (feasible), `Ok(None)`
-/// (infeasible — skipped), or `Err` (a real fault — propagated). With
-/// `workers <= 1` everything runs inline on the calling thread.
+/// `eval` maps a drawn design to its [`Cell`]; infeasible designs are
+/// skipped and real faults propagated. With `workers <= 1` everything
+/// runs inline on the calling thread.
 ///
 /// The cancel token is polled at attempt boundaries (inline) and batch /
 /// per-design boundaries (parallel); a token that never fires leaves the
@@ -126,20 +127,20 @@ pub struct SampleRun<T> {
 /// skipped an attempt the inline walk would have made, so a sweep that
 /// finished before the token fired is not reported as cancelled, and an
 /// unflagged result always equals the inline one.
-pub(crate) fn sample_engine<T: Send>(
+pub(crate) fn sample_engine(
     explorer: &Explorer,
     count: usize,
     seed: u64,
     workers: usize,
     cancel: &CancelToken,
-    eval: EvalFn<'_, T>,
-) -> Result<(Vec<T>, u64, bool), ExploreError> {
+    eval: EvalFn<'_>,
+) -> Result<(Vec<CustomPoint>, u64, bool), ExploreError> {
     let space = explorer.paper_space();
     // Reject degenerate spaces up front (same panics as direct sampling).
     let _ = CustomSampler::new(space, seed);
     let workers = resolve_workers(workers);
     let max_attempts = default_max_attempts(count);
-    let mut points: Vec<T> = Vec::new();
+    let mut points = Vec::new();
     let mut next_attempt = 0u64;
     let mut cancelled = false;
     if workers <= 1 {
@@ -179,7 +180,7 @@ pub(crate) fn sample_engine<T: Send>(
                         (!cancel.is_cancelled())
                             .then(|| eval(explorer, &sample_attempt(&space, seed, a), &mut scratch))
                     })
-                    .collect::<Vec<Option<Result<Option<T>, ArchError>>>>()
+                    .collect::<Vec<Option<Cell>>>()
             });
             // Chunks are contiguous and concatenated in order, so this scan
             // replays the exact inline attempt order; outcomes past the
@@ -208,24 +209,6 @@ pub(crate) fn sample_engine<T: Send>(
         }
     }
     Ok((points, next_attempt, cancelled))
-}
-
-/// Turns an un-cancelled engine result into the legacy all-or-error
-/// contract: short of `count` feasible designs is an exhausted budget.
-pub(crate) fn finish<T>(
-    points: Vec<T>,
-    count: usize,
-    attempts: u64,
-) -> Result<Vec<T>, ExploreError> {
-    if points.len() < count {
-        Err(ExploreError::AttemptsExhausted {
-            wanted: count,
-            got: points.len(),
-            attempts,
-        })
-    } else {
-        Ok(points)
-    }
 }
 
 impl Explorer {
@@ -292,45 +275,19 @@ impl Explorer {
 
     /// Samples and evaluates `count` custom designs (Use Case 3),
     /// returning the points plus the total wall time — the quantity
-    /// behind the paper's "100000 designs in 10.5 minutes". The point set
-    /// and order are a pure function of `(count, seed)`, the same for any
-    /// `workers` (`0` = one per core, `1` inline).
+    /// behind the paper's "100000 designs in 10.5 minutes". Each design
+    /// keeps only its lean [`EvalSummary`], evaluated through the summary
+    /// fast lane with one scratch per worker. The point set and order are
+    /// a pure function of `(count, seed)`, the same for any `workers`
+    /// (`0` = one per core, `1` inline).
+    ///
+    /// [`EvalSummary`]: mccm_core::EvalSummary
     ///
     /// # Errors
     ///
     /// [`ExploreError::AttemptsExhausted`] when the attempt budget
     /// ([`default_max_attempts`]) runs out before `count` feasible
     /// designs are found, [`ExploreError::Arch`] on real builder faults.
-    pub fn par_sample_custom(
-        &self,
-        count: usize,
-        seed: u64,
-        workers: usize,
-    ) -> Result<(Vec<DesignPoint>, Duration), ExploreError> {
-        let start = Instant::now();
-        let (points, attempts, _) = sample_engine(
-            self,
-            count,
-            seed,
-            workers,
-            &CancelToken::new(),
-            &|e, d, _| e.custom_cell(d),
-        )?;
-        let points = finish(points, count, attempts)?;
-        Ok((points, start.elapsed()))
-    }
-
-    /// [`Self::par_sample_custom`] keeping only the lean [`EvalSummary`]
-    /// per design — the throughput path for 100k-design sweeps: lean
-    /// per-design records evaluated through the summary fast lane with
-    /// one scratch per worker. Same point set (and bit-identical metrics)
-    /// as [`Self::par_sample_custom`], for any worker count.
-    ///
-    /// [`EvalSummary`]: mccm_core::EvalSummary
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::par_sample_custom`].
     pub fn par_sample_custom_summaries(
         &self,
         count: usize,
@@ -356,25 +313,29 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// As [`Self::par_sample_custom`] — but only un-cancelled sweeps can
-    /// exhaust their attempt budget.
+    /// As [`Self::par_sample_custom_summaries`] — but only un-cancelled
+    /// sweeps can exhaust their attempt budget.
     pub fn par_sample_custom_summaries_cancellable(
         &self,
         count: usize,
         seed: u64,
         workers: usize,
         cancel: &CancelToken,
-    ) -> Result<SampleRun<CustomPoint>, ExploreError> {
+    ) -> Result<SampleRun, ExploreError> {
         let start = Instant::now();
         let (points, attempts, cancelled) =
             sample_engine(self, count, seed, workers, cancel, &|e, d, scratch| {
                 e.custom_summary_cell(d, scratch)
             })?;
-        let points = if cancelled {
-            points
-        } else {
-            finish(points, count, attempts)?
-        };
+        // Short of `count` feasible designs without cancellation is an
+        // exhausted budget.
+        if !cancelled && points.len() < count {
+            return Err(ExploreError::AttemptsExhausted {
+                wanted: count,
+                got: points.len(),
+                attempts,
+            });
+        }
         Ok(SampleRun {
             points,
             attempts,
@@ -430,8 +391,8 @@ impl Explorer {
 
 /// Indices of the non-dominated items, computed with per-worker local
 /// [`ParetoFront`]s merged at the end (`workers = 0` ⇒ one per core).
-/// Returns the same ascending index list as the batch
-/// [`crate::pareto_front`] pass.
+/// Returns the same ascending index list for any worker count;
+/// `workers = 1` is the batch pass.
 pub fn par_pareto_indices<S: MetricSource + Sync>(
     items: &[S],
     metrics: &[Metric],
@@ -459,7 +420,6 @@ pub fn par_pareto_indices<S: MetricSource + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::pareto_front;
     use mccm_cnn::zoo;
     use mccm_fpga::FpgaBoard;
 
@@ -483,12 +443,12 @@ mod tests {
     fn parallel_sampling_matches_serial_for_any_worker_count() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let (serial, _) = e.par_sample_custom(30, 7, 1).unwrap();
+        let (serial, _) = e.par_sample_custom_summaries(30, 7, 1).unwrap();
         for workers in [2usize, 3, 8] {
-            let (par, _) = e.par_sample_custom(30, 7, workers).unwrap();
+            let (par, _) = e.par_sample_custom_summaries(30, 7, workers).unwrap();
             assert_eq!(par.len(), serial.len());
             for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.eval, b.eval);
+                assert_eq!(a.summary, b.summary);
             }
         }
     }
@@ -537,10 +497,12 @@ mod tests {
         for workers in [2usize, 3, 16] {
             assert_eq!(par_pareto_indices(&summaries, &metrics, workers), serial);
         }
-        // And the batch wrapper agrees on full evaluations.
-        let (full, _) = e.par_sample_custom(60, 13, 1).unwrap();
-        let evals: Vec<_> = full.iter().map(|p| p.eval.clone()).collect();
-        assert_eq!(pareto_front(&evals, &metrics), serial);
+        // And the rich evaluations of the same designs give the same front.
+        let evals: Vec<_> = points
+            .iter()
+            .map(|p| e.evaluate(&p.design.to_spec(&m).unwrap()).unwrap())
+            .collect();
+        assert_eq!(par_pareto_indices(&evals, &metrics, 1), serial);
     }
 
     fn fired_token() -> CancelToken {

@@ -1,8 +1,8 @@
 //! Pareto-front extraction over evaluation metrics: an incremental
-//! [`ParetoFront`] with O(front) online insertion, plus the batch
-//! [`pareto_front`] convenience built on top of it.
+//! [`ParetoFront`] with O(front) online insertion. The batch pass over a
+//! slice is [`crate::par_pareto_indices`].
 
-use mccm_core::{Evaluation, Metric, MetricSource};
+use mccm_core::{Metric, MetricSource};
 
 /// An incrementally maintained Pareto front over a fixed metric set.
 ///
@@ -127,29 +127,15 @@ pub(crate) fn dominates(metrics: &[Metric], a: &[f64], b: &[f64]) -> bool {
     strictly
 }
 
-/// Indices of the non-dominated evaluations under the given metrics
-/// (ascending). Thin batch wrapper over [`ParetoFront`].
-pub fn pareto_front(evals: &[Evaluation], metrics: &[Metric]) -> Vec<usize> {
-    let mut front = ParetoFront::new(metrics);
-    for (i, e) in evals.iter().enumerate() {
-        let values = metrics.iter().map(|m| m.value(e)).collect();
-        front.offer_with_values(i, values);
-    }
-    let mut indices = front.into_items();
-    indices.sort_unstable();
-    indices
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccm_core::{Bytes, Macs};
+    use crate::par_pareto_indices;
+    use mccm_core::{Bytes, EvalSummary, Macs};
 
-    fn eval(throughput: f64, buffer: u64) -> Evaluation {
-        Evaluation {
+    fn eval(throughput: f64, buffer: u64) -> EvalSummary {
+        EvalSummary {
             notation: String::new(),
-            model_name: String::new(),
-            board_name: String::new(),
             ce_count: 2,
             total_macs: Macs::ZERO,
             latency_s: 1.0,
@@ -160,9 +146,6 @@ mod tests {
             offchip_weight_bytes: Bytes::ZERO,
             offchip_fm_bytes: Bytes::ZERO,
             memory_stall_fraction: 0.0,
-            segments: vec![],
-            ces: vec![],
-            layers: vec![],
         }
     }
 
@@ -173,53 +156,54 @@ mod tests {
         // (throughput up, buffer down): (10, 100) and (20, 200) trade off;
         // (5, 300) is dominated by both.
         let evals = vec![eval(10.0, 100), eval(20.0, 200), eval(5.0, 300)];
-        let front = pareto_front(&evals, &TB);
+        let front = par_pareto_indices(&evals, &TB, 1);
         assert_eq!(front, vec![0, 1]);
     }
 
     #[test]
     fn identical_points_all_survive() {
         let evals = vec![eval(10.0, 100), eval(10.0, 100)];
-        let front = pareto_front(&evals, &TB);
+        let front = par_pareto_indices(&evals, &TB, 1);
         assert_eq!(front, vec![0, 1]);
     }
 
     #[test]
     fn single_metric_front_is_the_best() {
         let evals = vec![eval(10.0, 100), eval(20.0, 200), eval(15.0, 50)];
-        let front = pareto_front(&evals, &[Metric::Throughput]);
+        let front = par_pareto_indices(&evals, &[Metric::Throughput], 1);
         assert_eq!(front, vec![1]);
     }
 
     #[test]
     fn empty_input() {
-        assert!(pareto_front(&[], &[Metric::Throughput]).is_empty());
+        let none: [EvalSummary; 0] = [];
+        assert!(par_pareto_indices(&none, &[Metric::Throughput], 1).is_empty());
     }
 
     #[test]
     fn insertion_evicts_dominated_members() {
         let mut front = ParetoFront::new(&TB);
-        assert!(front.offer(eval(10.0, 100).summary()));
-        assert!(front.offer(eval(5.0, 50).summary())); // trades off, evicted later
+        assert!(front.offer(eval(10.0, 100)));
+        assert!(front.offer(eval(5.0, 50))); // trades off, evicted later
         assert_eq!(front.len(), 2);
         // Dominates (5, 50), trades off with (10, 100).
-        assert!(front.offer(eval(6.0, 40).summary()));
+        assert!(front.offer(eval(6.0, 40)));
         assert_eq!(front.len(), 2);
         // Dominated by (10, 100): rejected without insertion.
-        assert!(!front.offer(eval(9.0, 150).summary()));
+        assert!(!front.offer(eval(9.0, 150)));
         assert_eq!(front.len(), 2);
     }
 
     #[test]
     fn merge_equals_front_of_union() {
-        let points: Vec<Evaluation> = vec![
+        let points = vec![
             eval(10.0, 100),
             eval(20.0, 200),
             eval(5.0, 300),
             eval(15.0, 50),
             eval(20.0, 200), // duplicate of a front member
         ];
-        let whole = pareto_front(&points, &TB);
+        let whole = par_pareto_indices(&points, &TB, 1);
         let mut left = ParetoFront::new(&TB);
         let mut right = ParetoFront::new(&TB);
         for (i, e) in points.iter().enumerate() {

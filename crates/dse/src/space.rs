@@ -46,12 +46,7 @@ impl CustomDesign {
     ///
     /// Propagates [`ArchError::Infeasible`] for malformed boundaries.
     pub fn to_spec(&self, model: &CnnModel) -> Result<AcceleratorSpec, ArchError> {
-        templates::custom_hybrid_segmented_scheduled(
-            model,
-            self.head_layers,
-            &self.tail_ends,
-            self.schedule,
-        )
+        templates::custom_hybrid_segmented(model, self.head_layers, &self.tail_ends, self.schedule)
     }
 }
 

@@ -170,6 +170,7 @@ impl Json {
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -377,6 +378,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -551,21 +553,20 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("raw control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // bytes are valid UTF-8; control characters are
-                    // rejected per the JSON grammar).
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .expect("input was a &str")
-                        .chars()
-                        .next()
-                        .expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control character at once. All three are ASCII, so
+                    // the run ends on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += len;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -693,6 +694,37 @@ mod tests {
             assert!(err.detail.contains(needle), "{text}: {err}");
             assert!(err.to_string().contains("byte"), "{err}");
         }
+        // A raw control character is reported at its own byte offset.
+        let err = Json::parse("\"é\tx\"").unwrap_err();
+        assert!(err.detail.contains("raw control character"), "{err}");
+        assert_eq!(err.offset, 3);
+    }
+
+    #[test]
+    fn string_parsing_scales_linearly() {
+        // Ratio guard, not an absolute time, so it holds on slow hosts:
+        // a string 8x longer must parse in under 16x the time (a
+        // quadratic scan takes ~64x). Best of 3 runs per size.
+        fn best_parse_secs(bytes: usize) -> f64 {
+            let text = format!("\"{}\"", "abcdefé\\n".repeat(bytes / 10));
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let v = Json::parse(&text).unwrap();
+                    let secs = start.elapsed().as_secs_f64();
+                    assert_eq!(v.as_str().map(str::len), Some(bytes / 10 * 9));
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let n = 32 * 1024;
+        let small = best_parse_secs(n);
+        let large = best_parse_secs(8 * n);
+        assert!(
+            large < 16.0 * small,
+            "8x input took {:.1}x the time ({large:.6}s vs {small:.6}s)",
+            large / small
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use mccm::cnn::zoo;
 use mccm::core::Metric;
-use mccm::dse::{pareto_front, select_all_metrics, Explorer, PAPER_TIE_FRAC};
+use mccm::dse::{par_pareto_indices, select_all_metrics, Explorer, PAPER_TIE_FRAC};
 use mccm::fpga::FpgaBoard;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,15 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Custom-space sampling.
-    let (points, elapsed) = explorer.par_sample_custom(samples, 1, 1)?;
+    let (points, elapsed) = explorer.par_sample_custom_summaries(samples, 1, 1)?;
     println!(
         "evaluated {samples} custom designs in {:.2} s ({:.2} ms/design)",
         elapsed.as_secs_f64(),
         1e3 * elapsed.as_secs_f64() / samples as f64
     );
 
-    let evals: Vec<_> = points.iter().map(|p| p.eval.clone()).collect();
-    let front = pareto_front(&evals, &[Metric::Throughput, Metric::OnChipBuffers]);
+    let evals: Vec<_> = points.into_iter().map(|p| p.summary).collect();
+    let front = par_pareto_indices(&evals, &[Metric::Throughput, Metric::OnChipBuffers], 1);
     println!(
         "\nPareto front ({} designs), throughput vs buffers:",
         front.len()

@@ -972,17 +972,23 @@ fn render_human(outcome: &Outcome, verbose: bool, out: &mut dyn Write) -> Result
                         format_args!("  {:<11} no evidence yet (identity)\n", m.name()),
                     )?;
                 } else {
+                    // A line through two points has no residual, so its
+                    // improvement ratio is only the residual floor.
+                    let gain = if c.pairs <= 2 || c.mean_abs_residual == 0.0 {
+                        "exact fit".to_string()
+                    } else {
+                        format!("{:.1}x tighter than raw", c.improvement())
+                    };
                     emit(
                         out,
                         format_args!(
                             "  {:<11} slope {:.4}  intercept {:+.4e}  ± {:.4e}  ({} pairs, \
-                             {:.1}x tighter than raw)\n",
+                             {gain})\n",
                             m.name(),
                             c.slope,
                             c.intercept,
                             c.error_bar(),
                             c.pairs,
-                            c.improvement()
                         ),
                     )?;
                 }
@@ -1170,6 +1176,32 @@ mod tests {
         ])
         .unwrap();
         assert!(human.contains("latency:"), "{human}");
+    }
+
+    #[test]
+    fn calibrate_human_output_marks_exact_fits() {
+        // Two-pair fits have no residual: their ratio is only the
+        // residual floor and must not be printed as a huge number.
+        let text = run_cli(&[
+            "calibrate",
+            "--model",
+            "mobilenetv2",
+            "--board",
+            "zc706",
+            "--budget",
+            "120",
+            "--population",
+            "8",
+            "--islands",
+            "2",
+            "--top-k",
+            "2",
+        ])
+        .unwrap();
+        assert!(text.contains("exact fit"), "{text}");
+        for line in text.lines() {
+            assert!(line.len() <= 200, "{} chars: {line}", line.len());
+        }
     }
 
     #[test]

@@ -163,11 +163,11 @@ impl Session {
             Action::Evaluate { design } => {
                 let mut spec = design.instantiate(explorer.model())?;
                 apply_schedule_overrides(&mut spec, scenario)?;
-                let point = explorer.evaluate(&spec)?;
-                let total_macs = point.eval.total_macs;
+                let eval = explorer.evaluate(&spec)?;
+                let total_macs = eval.total_macs;
                 let energy = EnergyModel::default();
-                let estimate = energy.estimate(&point.eval, total_macs);
-                let gops_per_w = energy.efficiency_gops_per_w(&point.eval, total_macs);
+                let estimate = energy.estimate(&eval, total_macs);
+                let gops_per_w = energy.efficiency_gops_per_w(&eval, total_macs);
                 // A single evaluation is microseconds of work — not worth
                 // a cancellation checkpoint, never degraded.
                 Ok((
@@ -181,7 +181,7 @@ impl Session {
                         batch: scenario.batch,
                         energy: estimate,
                         gops_per_w,
-                        eval: point.eval,
+                        eval,
                     })),
                     false,
                 ))

@@ -210,7 +210,7 @@ fn schedule_axis_front_cuts_offchip_traffic_below_layer_by_layer() {
         let mut twin = p.design.clone();
         twin.schedule = Schedule::LayerByLayer;
         let spec = twin.to_spec(&model).unwrap();
-        let lbl = explorer.evaluate(&spec).unwrap().eval.summary();
+        let lbl = explorer.evaluate(&spec).unwrap().summary();
         assert_eq!(lbl.ce_count, p.summary.ce_count, "{}", p.summary.notation);
         if p.summary.offchip_bytes.get() < lbl.offchip_bytes.get() {
             beats_own_twin = true;

@@ -189,11 +189,11 @@ fn claim_custom_designs_beat_baselines() {
     // 1000 samples (paper: 100 000): enough that a baseline-matching
     // design reliably appears regardless of the exact RNG stream; 400 was
     // marginal (some seeds topped out ~0.25% below the baseline).
-    let (points, _) = explorer.par_sample_custom(1000, 3, 1).unwrap();
+    let (points, _) = explorer.par_sample_custom_summaries(1000, 3, 1).unwrap();
     let matching_buf = points
         .iter()
-        .filter(|p| p.eval.throughput_fps >= base.eval.throughput_fps * 0.999)
-        .map(|p| p.eval.buffer_req_bytes)
+        .filter(|p| p.summary.throughput_fps >= base.eval.throughput_fps * 0.999)
+        .map(|p| p.summary.buffer_req_bytes)
         .min();
     let buf = matching_buf.expect("some custom design should match the baseline throughput");
     assert!(

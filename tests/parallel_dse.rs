@@ -98,20 +98,18 @@ proptest! {
 fn parallel_sampling_matches_serial_point_for_point() {
     let model = zoo::mobilenet_v2();
     let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-    let (serial, _) = explorer.par_sample_custom(40, 11, 1).unwrap();
-    let serial_notations: Vec<_> = serial.iter().map(|p| p.eval.notation.clone()).collect();
+    let (serial, _) = explorer.par_sample_custom_summaries(40, 11, 1).unwrap();
+    let serial_notations: Vec<_> = serial.iter().map(|p| p.summary.notation.clone()).collect();
     for workers in [1usize, 2, 3, 8] {
-        let (par, _) = explorer.par_sample_custom(40, 11, workers).unwrap();
-        let par_notations: Vec<_> = par.iter().map(|p| p.eval.notation.clone()).collect();
+        let (par, _) = explorer
+            .par_sample_custom_summaries(40, 11, workers)
+            .unwrap();
+        let par_notations: Vec<_> = par.iter().map(|p| p.summary.notation.clone()).collect();
         assert_eq!(par_notations, serial_notations, "workers={workers}");
         for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.eval, b.eval, "workers={workers}");
+            assert_eq!(a, b, "workers={workers}");
         }
     }
-    // The lean summary path walks the same designs.
-    let (lean, _) = explorer.par_sample_custom_summaries(40, 11, 4).unwrap();
-    let lean_notations: Vec<_> = lean.iter().map(|p| p.summary.notation.clone()).collect();
-    assert_eq!(lean_notations, serial_notations);
 }
 
 #[test]
@@ -162,7 +160,10 @@ fn infeasible_heavy_spaces_error_instead_of_hanging() {
     let model = zoo::mobilenet_v2();
     let explorer = Explorer::new(&model, &FpgaBoard::new("tiny", 1, MiB(0.5), 1.0));
     for workers in [1usize, 4] {
-        match explorer.par_sample_custom(100, 2, workers).map(|(p, _)| p) {
+        match explorer
+            .par_sample_custom_summaries(100, 2, workers)
+            .map(|(p, _)| p)
+        {
             Err(ExploreError::AttemptsExhausted {
                 wanted,
                 got,
