@@ -9,7 +9,14 @@
 //!
 //! * **Objectives** are any subset of [`Metric`] (the paper's four plus
 //!   [`Metric::Energy`]), ranked by non-dominated sorting with crowding
-//!   distance — the standard NSGA-II machinery.
+//!   distance — the standard NSGA-II machinery. The dominance pass runs
+//!   once per *distinct* objective vector (memo-hit offspring re-visit
+//!   known designs, so duplicates are common), and the ranking
+//!   environmental selection computes is carried into the next
+//!   generation's tournament and the migration pick instead of being
+//!   recomputed: survivors keep their rank, and only the crowding of the
+//!   cut front changes. Both are exact, so the `(rank, crowding)` vectors
+//!   equal a from-scratch all-pairs ranking bit for bit.
 //! * **Variation** uses the [`CustomSpace::mutate`] /
 //!   [`CustomSpace::crossover`] operators: head-length shifts and
 //!   tail-boundary moves, the natural neighborhood of the
@@ -31,8 +38,6 @@
 //! ([`ParetoFront`]); the final front is the deterministic merge of all
 //! island archives.
 
-use std::time::{Duration, Instant};
-
 use mccm_arch::ArchError;
 use mccm_core::{EvalScratch, Metric};
 use rand::rngs::StdRng;
@@ -40,7 +45,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::ExploreError;
 use crate::explorer::{CustomPoint, Explorer};
-use crate::pareto::{dominates, ParetoFront};
+use crate::pareto::ParetoFront;
 use crate::sampler::{sample_attempt, stream_seed};
 use crate::segcache::{CacheStats, DeltaContext, DesignKey, DesignMemo, SegCache};
 use crate::space::{CustomDesign, CustomSpace};
@@ -210,8 +215,6 @@ pub struct GuidedFront {
     pub evaluations: u64,
     /// Feasible designs among them.
     pub feasible: u64,
-    /// Wall time of the run.
-    pub elapsed: Duration,
     /// Whether the search was cancelled before exhausting its budget
     /// (see [`Explorer::optimize_par_cancellable`]). A cancelled front is
     /// a valid, mutually non-dominated front over everything evaluated so
@@ -242,6 +245,61 @@ struct Individual {
     values: Vec<f64>,
 }
 
+/// NSGA-II ordering of a member set, index-aligned with it: `rank` 0 is
+/// the first (best) front, and `crowd` is the crowding distance within a
+/// member's front (`f64::INFINITY` on its boundary).
+#[derive(Debug)]
+struct Ranking {
+    rank: Vec<usize>,
+    crowd: Vec<f64>,
+}
+
+/// An island's population together with its ranking, held in one place
+/// so the two cannot drift apart: every change to the members either
+/// carries a matching ranking or drops it.
+#[derive(Default)]
+struct Population {
+    members: Vec<Individual>,
+    /// `None` until first needed after a change that could not carry a
+    /// ranking (initialization, a merge that needed no selection).
+    ranking: Option<Ranking>,
+}
+
+impl Population {
+    fn unranked(members: Vec<Individual>) -> Self {
+        Self {
+            members,
+            ranking: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// The members and their ranking, ranked from scratch only when no
+    /// ranking was carried.
+    fn ranked(&mut self, metrics: &[Metric]) -> (&[Individual], &Ranking) {
+        let members = &self.members;
+        let ranking = self
+            .ranking
+            .get_or_insert_with(|| rank_and_crowding(&values_of(members), metrics));
+        (members, ranking)
+    }
+
+    /// Adds `arrivals` after the current members, then trims back to `mu`
+    /// by environmental selection.
+    fn extend_and_select(&mut self, arrivals: Vec<Individual>, mu: usize, metrics: &[Metric]) {
+        let mut combined = std::mem::take(&mut self.members);
+        combined.extend(arrivals);
+        *self = environmental_select(combined, mu, metrics);
+    }
+}
+
+fn values_of(members: &[Individual]) -> Vec<&[f64]> {
+    members.iter().map(|i| i.values.as_slice()).collect()
+}
+
 /// One island's full evolutionary state. Everything an island does is a
 /// pure function of its initial state (seed stream + budget share), which
 /// is what makes the island model worker-invariant.
@@ -250,7 +308,7 @@ struct Island {
     /// Seed of this island's counter-based init-sampling stream.
     sample_stream: u64,
     next_attempt: u64,
-    population: Vec<Individual>,
+    population: Population,
     archive: ParetoFront<CustomPoint>,
     /// Designs this island has already built, keyed by compact interned
     /// [`DesignKey`]s: `None` = infeasible. Bounded (insert-drop past the
@@ -273,7 +331,7 @@ impl Island {
             rng: StdRng::seed_from_u64(stream_seed(seed, index.wrapping_mul(2) + 1)),
             sample_stream: stream_seed(seed, index.wrapping_mul(2)),
             next_attempt: 0,
-            population: Vec::new(),
+            population: Population::default(),
             archive: ParetoFront::new(metrics),
             memo: DesignMemo::default(),
             seg_cache: SegCache::new(),
@@ -334,19 +392,22 @@ impl Island {
         target: usize,
     ) -> Result<(), ArchError> {
         let attempt_cap = (target as u64).saturating_mul(64).max(1024);
-        while self.population.len() < target && self.budget > 0 && self.next_attempt < attempt_cap {
+        let mut members = Vec::with_capacity(target);
+        while members.len() < target && self.budget > 0 && self.next_attempt < attempt_cap {
             let design = sample_attempt(space, self.sample_stream, self.next_attempt);
             self.next_attempt += 1;
             if let Some(values) = self.try_evaluate(explorer, scratch, metrics, delta, &design)? {
-                self.population.push(Individual { design, values });
+                members.push(Individual { design, values });
             }
         }
+        self.population = Population::unranked(members);
         self.initialized = true;
         Ok(())
     }
 
     /// One NSGA-II generation: tournament selection → crossover + mutation
-    /// → environmental selection over parents ∪ offspring.
+    /// → environmental selection over parents ∪ offspring. The tournament
+    /// reads the ranking the previous selection carried over.
     // The per-epoch loop threads shared read-only search state plus the
     // optional delta context; bundling them into a struct would outlive
     // this one private call site.
@@ -364,28 +425,22 @@ impl Island {
         if self.population.len() < 2 || self.budget == 0 {
             return Ok(());
         }
-        let values: Vec<&[f64]> = self
-            .population
-            .iter()
-            .map(|i| i.values.as_slice())
-            .collect();
-        let (rank, crowd) = rank_and_crowding(&values, metrics);
-        let n = self.population.len();
+        // Taken out for the generation so the parents can be read while
+        // `try_evaluate` borrows the island.
+        let mut population = std::mem::take(&mut self.population);
+        let (parents, Ranking { rank, crowd }) = population.ranked(metrics);
+        let n = parents.len();
         let mut offspring: Vec<Individual> = Vec::with_capacity(mu);
         // Infeasible (or memo-hit infeasible) children make no progress;
         // bound the dry spell so a degenerate neighborhood cannot spin.
         let mut dry = 0usize;
         while offspring.len() < mu && self.budget > 0 && dry < 4 * mu {
-            let p1 = tournament(&mut self.rng, n, &rank, &crowd);
+            let p1 = tournament(&mut self.rng, n, rank, crowd);
             let child = if self.rng.random_bool(crossover_prob) {
-                let p2 = tournament(&mut self.rng, n, &rank, &crowd);
-                space.crossover(
-                    &self.population[p1].design,
-                    &self.population[p2].design,
-                    &mut self.rng,
-                )
+                let p2 = tournament(&mut self.rng, n, rank, crowd);
+                space.crossover(&parents[p1].design, &parents[p2].design, &mut self.rng)
             } else {
-                self.population[p1].design.clone()
+                parents[p1].design.clone()
             };
             let child = space.mutate(&child, &mut self.rng);
             // Safety net: today's operators always emit members (asserted
@@ -409,32 +464,24 @@ impl Island {
                 None => dry += 1,
             }
         }
-        let mut combined = std::mem::take(&mut self.population);
-        combined.extend(offspring);
-        self.population = environmental_select(combined, mu, metrics);
+        population.extend_and_select(offspring, mu, metrics);
+        self.population = population;
         Ok(())
     }
 
     /// The island's `count` elite members (rank-0 front, most-spread
     /// first) — the designs it exports at a migration epoch.
-    fn emigrants(&self, count: usize, metrics: &[Metric]) -> Vec<Individual> {
-        if self.population.is_empty() || count == 0 {
+    fn emigrants(&mut self, count: usize, metrics: &[Metric]) -> Vec<Individual> {
+        if self.population.len() == 0 || count == 0 {
             return Vec::new();
         }
-        let values: Vec<&[f64]> = self
-            .population
-            .iter()
-            .map(|i| i.values.as_slice())
-            .collect();
-        let (rank, crowd) = rank_and_crowding(&values, metrics);
-        let mut first_front: Vec<usize> = (0..self.population.len())
-            .filter(|&i| rank[i] == 0)
-            .collect();
+        let (members, Ranking { rank, crowd }) = self.population.ranked(metrics);
+        let mut first_front: Vec<usize> = (0..members.len()).filter(|&i| rank[i] == 0).collect();
         first_front.sort_by(|&a, &b| crowd[b].total_cmp(&crowd[a]).then_with(|| a.cmp(&b)));
         first_front
             .into_iter()
             .take(count)
-            .map(|i| self.population[i].clone())
+            .map(|i| members[i].clone())
             .collect()
     }
 
@@ -444,56 +491,121 @@ impl Island {
         if migrants.is_empty() {
             return;
         }
-        let mut combined = std::mem::take(&mut self.population);
-        combined.extend(migrants);
-        self.population = environmental_select(combined, mu, metrics);
+        self.population.extend_and_select(migrants, mu, metrics);
     }
 }
 
 /// Fast non-dominated sort + crowding distance of a set of objective
-/// vectors. Returns `(rank, crowding)` per index; rank 0 is the first
-/// (best) front.
-fn rank_and_crowding(values: &[&[f64]], metrics: &[Metric]) -> (Vec<usize>, Vec<f64>) {
+/// vectors over a non-empty `metrics`, ranked from scratch.
+///
+/// Members whose vectors are bit-identical share every dominance
+/// relation, so the all-pairs dominance pass runs over the `d` distinct
+/// vectors only (O(d²·m) instead of O(n²·m)) and each member takes its
+/// vector's front. The distinct vectors are stored once, flat, in
+/// minimization form: negating a higher-is-better metric is exact and
+/// turns [`Metric::better`]'s strict `>` into `<`. Crowding is still
+/// computed over each full front of members with the index tie-break, so
+/// the result equals the all-pairs ranking over every member bit for bit.
+fn rank_and_crowding(values: &[&[f64]], metrics: &[Metric]) -> Ranking {
     let n = values.len();
-    let mut dominated_by = vec![0usize; n];
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dominates(metrics, values[i], values[j]) {
-                dominates_list[i].push(j);
-                dominated_by[j] += 1;
-            } else if dominates(metrics, values[j], values[i]) {
-                dominates_list[j].push(i);
-                dominated_by[i] += 1;
+    let m = metrics.len();
+    // Two members are interchangeable for ranking exactly when their bit
+    // patterns are equal.
+    let bits: Vec<u64> = values
+        .iter()
+        .flat_map(|v| v.iter().map(|x| x.to_bits()))
+        .collect();
+    let mut keyed: Vec<(&[u64], usize)> = bits.chunks_exact(m).zip(0..n).collect();
+    keyed.sort_unstable();
+    let mut group = vec![0usize; n];
+    let mut rows: Vec<f64> = Vec::with_capacity(n * m);
+    let mut d = 0usize;
+    for (k, &(key, i)) in keyed.iter().enumerate() {
+        if k == 0 || key != keyed[k - 1].0 {
+            rows.extend(metrics.iter().zip(values[i]).map(|(metric, &v)| {
+                if metric.higher_is_better() {
+                    -v
+                } else {
+                    v
+                }
+            }));
+            d += 1;
+        }
+        group[i] = d - 1;
+    }
+
+    // Row `a` of `beats` is the bitset of the distinct vectors `a`
+    // dominates.
+    let words = d.div_ceil(64);
+    let mut beats = vec![0u64; d * words];
+    let mut dominated_by = vec![0usize; d];
+    for (a, row_a) in rows.chunks_exact(m).enumerate() {
+        for (b, row_b) in rows.chunks_exact(m).enumerate().skip(a + 1) {
+            let (mut a_better, mut b_better) = (false, false);
+            for (x, y) in row_a.iter().zip(row_b) {
+                a_better |= x < y;
+                b_better |= y < x;
             }
+            if a_better != b_better {
+                let (winner, loser) = if a_better { (a, b) } else { (b, a) };
+                beats[winner * words + loser / 64] |= 1 << (loser % 64);
+                dominated_by[loser] += 1;
+            }
+        }
+    }
+    // Peel the fronts of distinct vectors; a vector never freed keeps
+    // `usize::MAX` and, as in an all-pairs peel, ranks 0 with crowding 0.
+    let mut level_of = vec![usize::MAX; d];
+    let mut front: Vec<usize> = (0..d).filter(|&g| dominated_by[g] == 0).collect();
+    let mut next = Vec::new();
+    let mut levels = 0usize;
+    while !front.is_empty() {
+        for &g in &front {
+            level_of[g] = levels;
+            for (w, &word) in beats[g * words..(g + 1) * words].iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let loser = w * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    dominated_by[loser] -= 1;
+                    if dominated_by[loser] == 0 {
+                        next.push(loser);
+                    }
+                }
+            }
+        }
+        std::mem::swap(&mut front, &mut next);
+        next.clear();
+        levels += 1;
+    }
+
+    let mut fronts: Vec<Vec<usize>> = vec![Vec::new(); levels];
+    for (i, &g) in group.iter().enumerate() {
+        if let Some(members) = fronts.get_mut(level_of[g]) {
+            members.push(i);
         }
     }
     let mut rank = vec![0usize; n];
     let mut crowd = vec![0.0f64; n];
-    let mut front: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
-    let mut level = 0usize;
-    while !front.is_empty() {
-        crowding_into(&front, values, metrics, &mut crowd);
-        let mut next = Vec::new();
-        for &i in &front {
+    let value = |i: usize, k: usize| f64::from_bits(bits[i * m + k]);
+    for (level, members) in fronts.iter().enumerate() {
+        for &i in members {
             rank[i] = level;
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
-                }
-            }
         }
-        next.sort_unstable(); // deterministic front order
-        front = next;
-        level += 1;
+        crowding_into(members, value, m, &mut crowd);
     }
-    (rank, crowd)
+    Ranking { rank, crowd }
 }
 
-/// Crowding distance of one front, written into `crowd` at the front's
+/// Crowding distance of one front over `metrics` objectives, read through
+/// `value(member, metric)` and written into `crowd` at the front's
 /// indices. Boundary points get `f64::INFINITY`.
-fn crowding_into(front: &[usize], values: &[&[f64]], metrics: &[Metric], crowd: &mut [f64]) {
+fn crowding_into(
+    front: &[usize],
+    value: impl Fn(usize, usize) -> f64,
+    metrics: usize,
+    crowd: &mut [f64],
+) {
     for &i in front {
         crowd[i] = 0.0;
     }
@@ -503,21 +615,29 @@ fn crowding_into(front: &[usize], values: &[&[f64]], metrics: &[Metric], crowd: 
         }
         return;
     }
-    let mut order: Vec<usize> = front.to_vec();
-    for (m, _) in metrics.iter().enumerate() {
-        order.sort_by(|&a, &b| {
-            values[a][m]
-                .total_cmp(&values[b][m])
-                .then_with(|| a.cmp(&b))
-        });
-        let lo = values[order[0]][m];
-        let hi = values[order[order.len() - 1]][m];
-        crowd[order[0]] = f64::INFINITY;
-        crowd[order[order.len() - 1]] = f64::INFINITY;
+    // Sorted on (`f64::total_cmp` order, index): the key below orders as
+    // unsigned integers exactly as `total_cmp` orders the floats.
+    let total_key = |v: f64| {
+        let b = v.to_bits();
+        if b >> 63 == 1 {
+            !b
+        } else {
+            b | 1 << 63
+        }
+    };
+    let mut order: Vec<(u64, usize)> = Vec::with_capacity(front.len());
+    for m in 0..metrics {
+        order.clear();
+        order.extend(front.iter().map(|&i| (total_key(value(i, m)), i)));
+        order.sort_unstable();
+        let (first, last) = (order[0].1, order[order.len() - 1].1);
+        let (lo, hi) = (value(first, m), value(last, m));
+        crowd[first] = f64::INFINITY;
+        crowd[last] = f64::INFINITY;
         if hi > lo {
-            for w in 1..order.len() - 1 {
-                let span = values[order[w + 1]][m] - values[order[w - 1]][m];
-                crowd[order[w]] += span / (hi - lo);
+            for w in order.windows(3) {
+                let span = value(w[2].1, m) - value(w[0].1, m);
+                crowd[w[1].1] += span / (hi - lo);
             }
         }
     }
@@ -547,16 +667,17 @@ fn tournament(rng: &mut StdRng, n: usize, rank: &[usize], crowd: &[f64]) -> usiz
 /// NSGA-II environmental selection: fill by front rank; the cut front is
 /// admitted by crowding distance (descending, index ascending) — all
 /// deterministic.
-fn environmental_select(
-    combined: Vec<Individual>,
-    mu: usize,
-    metrics: &[Metric],
-) -> Vec<Individual> {
+///
+/// The survivors carry their ranking out. Every front before the cut one
+/// survives whole, so each survivor keeps all of its dominators and with
+/// them its rank; keeping arrival order keeps the crowding tie-breaks, so
+/// only the cut front, which may have lost members, needs its crowding
+/// recomputed. A set that already fits is passed through unranked.
+fn environmental_select(combined: Vec<Individual>, mu: usize, metrics: &[Metric]) -> Population {
     if combined.len() <= mu {
-        return combined;
+        return Population::unranked(combined);
     }
-    let values: Vec<&[f64]> = combined.iter().map(|i| i.values.as_slice()).collect();
-    let (rank, crowd) = rank_and_crowding(&values, metrics);
+    let Ranking { rank, crowd } = rank_and_crowding(&values_of(&combined), metrics);
     let mut order: Vec<usize> = (0..combined.len()).collect();
     order.sort_by(|&a, &b| {
         rank[a]
@@ -565,12 +686,24 @@ fn environmental_select(
             .then_with(|| a.cmp(&b))
     });
     order.truncate(mu);
+    let cut = rank[order[mu - 1]];
     order.sort_unstable(); // keep survivors in their stable arrival order
     let mut keep: Vec<Option<Individual>> = combined.into_iter().map(Some).collect();
-    order
-        .into_iter()
-        .map(|i| keep[i].take().expect("selection indices are unique"))
-        .collect()
+    let members: Vec<Individual> = order
+        .iter()
+        .map(|&i| keep[i].take().expect("selection indices are unique"))
+        .collect();
+    let mut ranking = Ranking {
+        rank: order.iter().map(|&i| rank[i]).collect(),
+        crowd: order.iter().map(|&i| crowd[i]).collect(),
+    };
+    let cut_front: Vec<usize> = (0..mu).filter(|&j| ranking.rank[j] == cut).collect();
+    let value = |i: usize, k: usize| members[i].values[k];
+    crowding_into(&cut_front, value, metrics.len(), &mut ranking.crowd);
+    Population {
+        members,
+        ranking: Some(ranking),
+    }
 }
 
 impl Explorer {
@@ -628,7 +761,6 @@ impl Explorer {
         );
         assert!(config.population >= 4, "population must be at least 4");
         assert!(config.islands >= 1, "need at least one island");
-        let start = Instant::now();
         let space = self
             .paper_space()
             .with_max_fuse_depth(config.max_fuse_depth);
@@ -673,7 +805,7 @@ impl Explorer {
             // Ring migration at the epoch boundary (free: selection only).
             if k > 1 && config.migrants > 0 {
                 let picks: Vec<Vec<Individual>> = islands
-                    .iter()
+                    .iter_mut()
                     .map(|isl| isl.emigrants(config.migrants, &metrics))
                     .collect();
                 for (i, pick) in picks.into_iter().enumerate() {
@@ -715,7 +847,6 @@ impl Explorer {
             metrics,
             evaluations,
             feasible,
-            elapsed: start.elapsed(),
             cancelled,
             cache,
         })
@@ -785,8 +916,204 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::dominates;
+    use mccm_arch::Schedule;
     use mccm_cnn::zoo;
     use mccm_fpga::FpgaBoard;
+
+    /// The all-pairs ranking the distinct-vector one replaced, kept as
+    /// the oracle it must match bit for bit.
+    fn reference_rank_and_crowding(
+        values: &[&[f64]],
+        metrics: &[Metric],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let n = values.len();
+        let mut dominated_by = vec![0usize; n];
+        let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if dominates(metrics, values[i], values[j]) {
+                    dominates_list[i].push(j);
+                    dominated_by[j] += 1;
+                } else if dominates(metrics, values[j], values[i]) {
+                    dominates_list[j].push(i);
+                    dominated_by[i] += 1;
+                }
+            }
+        }
+        let mut rank = vec![0usize; n];
+        let mut crowd = vec![0.0f64; n];
+        let mut front: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
+        let mut level = 0usize;
+        while !front.is_empty() {
+            reference_crowding_into(&front, values, metrics, &mut crowd);
+            let mut next = Vec::new();
+            for &i in &front {
+                rank[i] = level;
+                for &j in &dominates_list[i] {
+                    dominated_by[j] -= 1;
+                    if dominated_by[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            next.sort_unstable();
+            front = next;
+            level += 1;
+        }
+        (rank, crowd)
+    }
+
+    fn reference_crowding_into(
+        front: &[usize],
+        values: &[&[f64]],
+        metrics: &[Metric],
+        crowd: &mut [f64],
+    ) {
+        for &i in front {
+            crowd[i] = 0.0;
+        }
+        if front.len() <= 2 {
+            for &i in front {
+                crowd[i] = f64::INFINITY;
+            }
+            return;
+        }
+        let mut order: Vec<usize> = front.to_vec();
+        for (m, _) in metrics.iter().enumerate() {
+            order.sort_by(|&a, &b| {
+                values[a][m]
+                    .total_cmp(&values[b][m])
+                    .then_with(|| a.cmp(&b))
+            });
+            let lo = values[order[0]][m];
+            let hi = values[order[order.len() - 1]][m];
+            crowd[order[0]] = f64::INFINITY;
+            crowd[order[order.len() - 1]] = f64::INFINITY;
+            if hi > lo {
+                for w in 1..order.len() - 1 {
+                    let span = values[order[w + 1]][m] - values[order[w - 1]][m];
+                    crowd[order[w]] += span / (hi - lo);
+                }
+            }
+        }
+    }
+
+    /// Asserts `got` is the reference ranking of `values`, crowding
+    /// compared by bit pattern.
+    fn assert_reference_ranking(got: &Ranking, values: &[&[f64]], metrics: &[Metric], case: &str) {
+        let (rank, crowd) = reference_rank_and_crowding(values, metrics);
+        assert_eq!(got.rank, rank, "rank differs: {case}");
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&got.crowd), bits(&crowd), "crowding differs: {case}");
+    }
+
+    /// Objective sets built to stress the ranking: about half the members
+    /// copy an earlier one, and most coordinates come from a small pool
+    /// holding both signed zeros, so single-metric ties are common. The
+    /// two largest sizes hold more than 64 distinct vectors.
+    fn random_sets(seed: u64) -> impl Iterator<Item = (Vec<Metric>, Vec<Vec<f64>>)> {
+        const POOL: [f64; 6] = [-0.0, 0.0, 1.0, 2.0, 2.5, 4.0];
+        let metric_sets: [&[Metric]; 4] = [
+            &[Metric::Latency],
+            &[Metric::Throughput],
+            &[Metric::Throughput, Metric::OnChipBuffers],
+            &Metric::WITH_ENERGY,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        (1..=100usize).chain([130, 200]).flat_map(move |n| {
+            metric_sets
+                .iter()
+                .map(|metrics| {
+                    let mut set: Vec<Vec<f64>> = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let row = if !set.is_empty() && rng.random_bool(0.5) {
+                            set[rng.random_range(0..set.len())].clone()
+                        } else {
+                            (0..metrics.len())
+                                .map(|_| {
+                                    if rng.random_bool(0.8) {
+                                        POOL[rng.random_range(0..POOL.len())]
+                                    } else {
+                                        f64::from(rng.random_range(0..=6000u32)) / 1000.0 - 1.0
+                                    }
+                                })
+                                .collect()
+                        };
+                        set.push(row);
+                    }
+                    (metrics.to_vec(), set)
+                })
+                .collect::<Vec<_>>()
+        })
+    }
+
+    fn tagged(set: &[Vec<f64>]) -> Vec<Individual> {
+        set.iter()
+            .enumerate()
+            .map(|(tag, values)| Individual {
+                design: CustomDesign {
+                    head_layers: tag,
+                    tail_ends: Vec::new(),
+                    schedule: Schedule::LayerByLayer,
+                },
+                values: values.clone(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn distinct_vector_ranking_matches_the_all_pairs_reference() {
+        for seed in [1u64, 2, 3] {
+            for (metrics, set) in random_sets(seed) {
+                let values: Vec<&[f64]> = set.iter().map(Vec::as_slice).collect();
+                let case = format!("seed {seed}, {} metrics, n {}", metrics.len(), set.len());
+                assert_reference_ranking(
+                    &rank_and_crowding(&values, &metrics),
+                    &values,
+                    &metrics,
+                    &case,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn carried_selection_ranking_equals_a_fresh_ranking_of_the_survivors() {
+        for (metrics, set) in random_sets(4) {
+            let n = set.len();
+            let values: Vec<&[f64]> = set.iter().map(Vec::as_slice).collect();
+            let (rank, crowd) = reference_rank_and_crowding(&values, &metrics);
+            let mut best_first: Vec<usize> = (0..n).collect();
+            best_first.sort_by(|&a, &b| {
+                rank[a]
+                    .cmp(&rank[b])
+                    .then_with(|| crowd[b].total_cmp(&crowd[a]))
+                    .then_with(|| a.cmp(&b))
+            });
+            // Exact fills (the cut lands on a front boundary), every size
+            // in between for small sets, and the pass-through sizes.
+            let mut mus: Vec<usize> = (0..=rank.iter().copied().max().unwrap_or(0))
+                .map(|level| rank.iter().filter(|&&r| r <= level).count())
+                .collect();
+            mus.extend([1, n / 2, n.saturating_sub(1), n, n + 3]);
+            if n <= 12 {
+                mus.extend(1..=n);
+            }
+            for mu in mus.into_iter().filter(|&mu| mu >= 1) {
+                let mut survivors = environmental_select(tagged(&set), mu, &metrics);
+                assert_eq!(survivors.ranking.is_some(), n > mu, "mu {mu}, n {n}");
+                let case = format!("{} metrics, n {n}, mu {mu}", metrics.len());
+                let (members, carried) = survivors.ranked(&metrics);
+                // The reference's best `mu`, in arrival order.
+                let mut expected = best_first[..mu.min(n)].to_vec();
+                expected.sort_unstable();
+                let tags: Vec<usize> = members.iter().map(|i| i.design.head_layers).collect();
+                assert_eq!(tags, expected, "survivors: {case}");
+                assert_reference_ranking(carried, &values_of(members), &metrics, &case);
+            }
+        }
+    }
 
     fn front_key(f: &GuidedFront) -> Vec<(String, Vec<u64>)> {
         f.points

@@ -32,11 +32,16 @@
 
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts; deeper inputs error instead
 /// of risking stack exhaustion.
 const MAX_DEPTH: usize = 128;
+
+/// Key count up to which an object checks a new key for duplicates by a
+/// linear scan; wider objects switch to a hash set.
+const LINEAR_KEY_SCAN: usize = 16;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,6 +444,9 @@ impl Parser<'_> {
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
+        // Keys seen so far, kept once the object outgrows a linear scan,
+        // so a wide object parses in linear time.
+        let mut seen: Option<HashSet<String>> = None;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -453,7 +461,14 @@ impl Parser<'_> {
                 }
                 e
             })?;
-            if pairs.iter().any(|(k, _)| *k == key) {
+            let duplicate = if pairs.len() < LINEAR_KEY_SCAN {
+                pairs.iter().any(|(k, _)| *k == key)
+            } else {
+                let keys =
+                    seen.get_or_insert_with(|| pairs.iter().map(|(k, _)| k.clone()).collect());
+                !keys.insert(key.clone())
+            };
+            if duplicate {
                 return Err(JsonError {
                     offset: key_offset,
                     detail: format!("duplicate object key `{key}`"),
@@ -700,24 +715,27 @@ mod tests {
         assert_eq!(err.offset, 3);
     }
 
-    #[test]
-    fn string_parsing_scales_linearly() {
-        // Ratio guard, not an absolute time, so it holds on slow hosts:
-        // a string 8x longer must parse in under 16x the time (a
-        // quadratic scan takes ~64x). Best of 3 runs per size.
-        fn best_parse_secs(bytes: usize) -> f64 {
-            let text = format!("\"{}\"", "abcdefé\\n".repeat(bytes / 10));
+    /// Ratio guard, not an absolute time, so it holds on slow hosts: the
+    /// document `make(8 * n)` must parse in under 16x the time of
+    /// `make(n)` (a quadratic parse takes ~64x). Best of 3 runs per size;
+    /// `check` validates each parse outside the timed span.
+    fn assert_parses_linearly(
+        n: usize,
+        make: impl Fn(usize) -> String,
+        check: impl Fn(&Json, usize),
+    ) {
+        let best_parse_secs = |size: usize| {
+            let text = make(size);
             (0..3)
                 .map(|_| {
                     let start = std::time::Instant::now();
                     let v = Json::parse(&text).unwrap();
                     let secs = start.elapsed().as_secs_f64();
-                    assert_eq!(v.as_str().map(str::len), Some(bytes / 10 * 9));
+                    check(&v, size);
                     secs
                 })
                 .fold(f64::INFINITY, f64::min)
-        }
-        let n = 32 * 1024;
+        };
         let small = best_parse_secs(n);
         let large = best_parse_secs(8 * n);
         assert!(
@@ -725,6 +743,82 @@ mod tests {
             "8x input took {:.1}x the time ({large:.6}s vs {small:.6}s)",
             large / small
         );
+    }
+
+    #[test]
+    fn string_parsing_scales_linearly() {
+        assert_parses_linearly(
+            32 * 1024,
+            |bytes| format!("\"{}\"", "abcdefé\\n".repeat(bytes / 10)),
+            |v, bytes| assert_eq!(v.as_str().map(str::len), Some(bytes / 10 * 9)),
+        );
+    }
+
+    #[test]
+    fn wide_object_parsing_scales_linearly() {
+        assert_parses_linearly(
+            4096,
+            |keys| {
+                let pairs: Vec<String> = (0..keys).map(|k| format!("\"key{k}\": {k}")).collect();
+                format!("{{{}}}", pairs.join(", "))
+            },
+            |v, keys| {
+                assert!(matches!(v, Json::Object(pairs) if pairs.len() == keys));
+                assert_eq!(
+                    v.get(&format!("key{}", keys - 1)).and_then(Json::as_usize),
+                    Some(keys - 1)
+                );
+            },
+        );
+    }
+
+    #[test]
+    fn long_array_parsing_scales_linearly() {
+        assert_parses_linearly(
+            32 * 1024,
+            |items| {
+                let items: Vec<String> = (0..items).map(|i| i.to_string()).collect();
+                format!("[{}]", items.join(","))
+            },
+            |v, items| assert_eq!(v.as_array().map(<[Json]>::len), Some(items)),
+        );
+    }
+
+    #[test]
+    fn deep_nesting_parsing_scales_linearly() {
+        // Copies of a document nested 100 levels deep (objects and arrays
+        // alternating), just inside the depth limit.
+        let nest = "{\"k\": [".repeat(50) + "0" + &"]}".repeat(50);
+        assert_parses_linearly(
+            128,
+            |copies| format!("[{}]", vec![nest.as_str(); copies].join(", ")),
+            |v, copies| assert_eq!(v.as_array().map(<[Json]>::len), Some(copies)),
+        );
+    }
+
+    #[test]
+    fn wide_object_reports_its_first_duplicate_key() {
+        // Past the linear-scan width the duplicate check changes method;
+        // the error must still name the first repeat at its own offset.
+        let mut text = String::from("{");
+        for k in 0..100 {
+            text.push_str(&format!("\"key{k}\": {k}, "));
+        }
+        let first = text.len();
+        text.push_str("\"key40\": 0, \"key7\": 0}");
+        let err = Json::parse(&text).unwrap_err();
+        assert_eq!(err.offset, first);
+        assert_eq!(err.detail, "duplicate object key `key40`");
+        // The same holds at the switch-over width.
+        for keys in [LINEAR_KEY_SCAN - 1, LINEAR_KEY_SCAN, LINEAR_KEY_SCAN + 1] {
+            let pairs: Vec<String> = (0..keys).map(|k| format!("\"key{k}\": {k}")).collect();
+            let head = format!("{{{}, ", pairs.join(", "));
+            let err = Json::parse(&format!("{head}\"key0\": 1}}")).unwrap_err();
+            assert_eq!(
+                (err.offset, err.detail.as_str()),
+                (head.len(), "duplicate object key `key0`")
+            );
+        }
     }
 
     #[test]
