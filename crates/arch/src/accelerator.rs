@@ -9,7 +9,7 @@ use mccm_fpga::{FpgaBoard, Precision};
 use crate::builder::BufferPlan;
 use crate::engine::ComputeEngine;
 use crate::notation;
-use crate::spec::{AcceleratorSpec, Executor, Segment};
+use crate::spec::{AcceleratorSpec, Segment};
 
 /// A multiple-CE accelerator with all implementation details decided:
 /// segments, engines (PEs + parallelism), and buffer plan. Produced by
@@ -119,14 +119,6 @@ impl BuiltAccelerator {
     pub fn ofm_bytes(&self, layer: usize) -> u64 {
         self.precision
             .activation_size(self.convs[layer].ofm.elements())
-    }
-
-    /// The CE processing `layer` within `segment`.
-    pub fn ce_for(&self, segment: &Segment, layer: usize) -> usize {
-        match &segment.executor {
-            Executor::SingleCe(ce) => *ce,
-            Executor::PipelinedCes(ces) => ces[layer - segment.first],
-        }
     }
 
     /// Total off-chip weight bytes of the CNN (the minimum off-chip weight

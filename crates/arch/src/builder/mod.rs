@@ -23,7 +23,7 @@ use mccm_fpga::{FpgaBoard, Precision};
 use crate::accelerator::BuiltAccelerator;
 use crate::engine::{CeRole, ComputeEngine, Parallelism};
 use crate::error::ArchError;
-use crate::spec::{AcceleratorSpec, BlockSpec, Schedule, Segment};
+use crate::spec::{AcceleratorSpec, BlockSpec, Schedule};
 
 /// How the DSP budget is split across engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -444,50 +444,26 @@ impl MultipleCeBuilder {
             weight_compression: Vec::new(),
         })
     }
-
-    /// Convenience: builds every spec in the iterator, skipping
-    /// combinations that are genuinely infeasible on this board.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any builder fault other than [`ArchError::Infeasible`]
-    /// — real bugs must not be silently reported as "infeasible" (the old
-    /// code swallowed every error here via `.ok()`, mirroring the bug
-    /// fixed in `Explorer::par_sweep_baselines`).
-    pub fn build_sweep(
-        &self,
-        specs: impl IntoIterator<Item = AcceleratorSpec>,
-    ) -> Result<Vec<BuiltAccelerator>, ArchError> {
-        let mut out = Vec::new();
-        for spec in specs {
-            match self.build(&spec) {
-                Ok(acc) => out.push(acc),
-                Err(ArchError::Infeasible { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Convenience validating a segment list is internally consistent (used by
-/// tests and the simulator's defensive checks).
-pub fn check_segments(segments: &[Segment], num_layers: usize) -> bool {
-    let mut next = 0usize;
-    for s in segments {
-        if s.first != next || s.last < s.first {
-            return false;
-        }
-        next = s.last + 1;
-    }
-    next == num_layers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Segment;
     use crate::templates;
     use mccm_cnn::zoo;
+
+    /// Whether a segment list tiles `0..num_layers` in order.
+    fn check_segments(segments: &[Segment], num_layers: usize) -> bool {
+        let mut next = 0usize;
+        for s in segments {
+            if s.first != next || s.last < s.first {
+                return false;
+            }
+            next = s.last + 1;
+        }
+        next == num_layers
+    }
 
     #[test]
     fn builds_all_templates_for_resnet50() {
@@ -658,15 +634,6 @@ mod tests {
         let b = MultipleCeBuilder::new(&m, &tiny);
         let spec = templates::segmented(&m, 5).unwrap();
         assert!(matches!(b.build(&spec), Err(ArchError::Infeasible { .. })));
-    }
-
-    #[test]
-    fn build_sweep_skips_infeasible() {
-        let m = zoo::resnet50();
-        let b = MultipleCeBuilder::new(&m, &FpgaBoard::vcu110());
-        let specs = (2..=11).map(|k| templates::hybrid(&m, k).unwrap());
-        let built = b.build_sweep(specs).unwrap();
-        assert_eq!(built.len(), 10);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! the block's layers pairwise. Layer-by-layer blocks carry no suffix.
 //!
 //! The textual form does not carry the coarse-pipelining flag;
-//! [`parse`] infers it (`true` when more than one distinct block exists),
-//! and [`parse_with_pipelining`] overrides it explicitly.
+//! [`parse`] infers it (`true` when more than one distinct block exists).
 
 use std::fmt::Write as _;
 
@@ -88,21 +87,6 @@ pub fn parse(input: &str) -> Result<AcceleratorSpec, ArchError> {
     let assignments = parse_assignments(input)?;
     let coarse = assignments.len() > 1;
     Ok(AcceleratorSpec::new(assignments, coarse))
-}
-
-/// Parses the paper's notation with an explicit coarse-pipelining flag.
-///
-/// # Errors
-///
-/// Returns [`ArchError::Parse`] on malformed input.
-pub fn parse_with_pipelining(
-    input: &str,
-    coarse_pipeline: bool,
-) -> Result<AcceleratorSpec, ArchError> {
-    Ok(AcceleratorSpec::new(
-        parse_assignments(input)?,
-        coarse_pipeline,
-    ))
 }
 
 struct Cursor<'a> {
@@ -343,12 +327,6 @@ mod tests {
         let a = parse("{ l1 - last : ce1 - ce4 }").unwrap();
         let b = parse("{L1-Last: CE1-CE4}").unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explicit_pipelining_override() {
-        let spec = parse_with_pipelining("{L1-Last: CE1-CE4}", true).unwrap();
-        assert!(spec.coarse_pipeline);
     }
 
     #[test]

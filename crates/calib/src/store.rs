@@ -155,11 +155,6 @@ impl CalibStore {
         self.max_pairs_per_key
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Total pairs across all keys.
     pub fn pair_count(&self) -> usize {
         self.entries.iter().map(|(_, pairs)| pairs.len()).sum()

@@ -102,11 +102,6 @@ impl AccuracySummary {
             skipped_nan,
         })
     }
-
-    /// Aggregates records.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a AccuracyRecord>) -> Option<Self> {
-        Self::from_accuracies(records.into_iter().map(AccuracyRecord::accuracy))
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,8 @@ mod tests {
                 estimated: 8.0,
             },
         ];
-        let s = AccuracySummary::from_records(records.iter()).unwrap();
+        let s =
+            AccuracySummary::from_accuracies(records.iter().map(AccuracyRecord::accuracy)).unwrap();
         assert!((s.max - 100.0).abs() < 1e-12);
         assert!((s.min - 80.0).abs() < 1e-12);
         assert!((s.average - 90.0).abs() < 1e-12);

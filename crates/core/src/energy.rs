@@ -88,14 +88,14 @@ impl EnergyModel {
     /// its own MAC count, so big sweeps can rank on energy without ever
     /// materializing a full [`Evaluation`]. Bit-identical to
     /// `estimate(&evaluation, macs)` on the same design: both paths run
-    /// [`Self::estimate_parts`] on the same three scalars.
+    /// `estimate_parts` on the same three scalars.
     pub fn estimate_summary(&self, summary: &EvalSummary) -> EnergyEstimate {
         self.estimate_parts(summary.total_macs, summary.offchip_bytes, summary.latency_s)
     }
 
     /// The shared estimation core both lanes go through: MAC count,
     /// off-chip bytes, and latency fully determine the estimate.
-    pub fn estimate_parts(
+    pub(crate) fn estimate_parts(
         &self,
         total_macs: Macs,
         offchip_bytes: Bytes,

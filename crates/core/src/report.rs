@@ -234,13 +234,6 @@ impl EvalSummary {
         Throughput::new(self.throughput_fps)
     }
 
-    /// On-chip buffer traffic the energy model charges per inference:
-    /// each MAC reads two operands and accumulates locally; partial sums
-    /// and reuse keep the traffic near 2 bytes/MAC at 8-bit.
-    pub fn onchip_traffic_bytes(&self) -> Bytes {
-        self.total_macs.traffic_at(2)
-    }
-
     /// Off-chip traffic in MiB.
     pub fn offchip_mib(&self) -> f64 {
         self.offchip_bytes.mib()
@@ -276,12 +269,6 @@ impl Evaluation {
     /// Steady-state throughput as a typed rate.
     pub fn throughput(&self) -> Throughput {
         Throughput::new(self.throughput_fps)
-    }
-
-    /// On-chip buffer traffic the energy model charges per inference
-    /// (see [`EvalSummary::onchip_traffic_bytes`]).
-    pub fn onchip_traffic_bytes(&self) -> Bytes {
-        self.total_macs.traffic_at(2)
     }
 
     /// The metrics-only view of this evaluation (drops the per-segment /
@@ -398,7 +385,6 @@ mod tests {
         assert!((e.latency_ms() - 10.0).abs() < 1e-12);
         assert!((e.buffer_mib() - 2.0).abs() < 1e-12);
         assert!((e.weight_traffic_share() - 0.75).abs() < 1e-12);
-        assert_eq!(e.onchip_traffic_bytes(), Bytes::new(2_000_000));
         assert!((e.throughput().get() - 100.0).abs() < 1e-12);
     }
 

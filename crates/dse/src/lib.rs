@@ -65,4 +65,4 @@ pub use quality::{
 pub use sampler::{sample_attempt, CustomSampler};
 pub use segcache::{CacheStats, DeltaContext, SegCache};
 pub use selection::{select_all_metrics, select_best, SelectionCell, PAPER_TIE_FRAC};
-pub use space::{binomial, binomial_checked, CustomDesign, CustomSpace};
+pub use space::{binomial_checked, CustomDesign, CustomSpace};

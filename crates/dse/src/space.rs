@@ -473,14 +473,6 @@ impl CustomSpace {
     }
 }
 
-/// Binomial coefficient in u128, saturating honestly: on overflow the
-/// result is `u128::MAX`, never a silently wrong smaller number (the old
-/// `saturating_mul`-then-divide scheme returned saturated-then-divided
-/// garbage for large inputs).
-pub fn binomial(n: u128, k: u128) -> u128 {
-    binomial_checked(n, k).unwrap_or(u128::MAX)
-}
-
 /// Binomial coefficient in u128, or `None` when the value (or an
 /// irreducible intermediate product) overflows.
 ///
@@ -545,33 +537,31 @@ mod tests {
 
     #[test]
     fn binomial_basics() {
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(5, 5), 1);
-        assert_eq!(binomial(4, 5), 0);
-        assert_eq!(binomial(10, 3), 120);
-        assert_eq!(binomial(52, 5), 2_598_960);
+        assert_eq!(binomial_checked(5, 0), Some(1));
+        assert_eq!(binomial_checked(5, 2), Some(10));
+        assert_eq!(binomial_checked(5, 5), Some(1));
+        assert_eq!(binomial_checked(4, 5), Some(0));
+        assert_eq!(binomial_checked(10, 3), Some(120));
+        assert_eq!(binomial_checked(52, 5), Some(2_598_960));
     }
 
     #[test]
     fn binomial_overflow_saturates_honestly() {
         // Regression: the old saturating_mul-then-divide scheme returned a
         // silently wrong (saturated-then-divided) count here instead of
-        // either the exact value or an honest saturation marker.
+        // either the exact value or an honest overflow report.
         assert_eq!(binomial_checked(1000, 500), None);
-        assert_eq!(binomial(1000, 500), u128::MAX);
         assert_eq!(binomial_checked(170, 85), None);
-        assert_eq!(binomial(170, 85), u128::MAX);
         // Large-but-representable values stay exact (the intermediate
         // product overflows without the gcd-cancellation rescue).
         assert_eq!(
             binomial_checked(100, 50),
             Some(100_891_344_545_564_193_334_812_497_256)
         );
-        // The boundary is honest in both directions: every exact result is
-        // below the saturation marker.
+        // The boundary is honest in both directions: every representable
+        // result is reported.
         for k in 0..=64u128 {
-            assert!(binomial(128, k) < u128::MAX);
+            assert!(binomial_checked(128, k).is_some());
         }
     }
 

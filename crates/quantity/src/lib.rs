@@ -389,17 +389,6 @@ impl Joules {
         Self(check_continuous("Joules", raw))
     }
 
-    /// Wraps a picojoule amount (the unit energy coefficients use).
-    ///
-    /// # Panics
-    ///
-    /// If `pj` is not finite or is negative.
-    #[inline]
-    #[must_use]
-    pub fn from_picojoules(pj: f64) -> Self {
-        Self::new(pj * 1e-12)
-    }
-
     /// The amount in joules.
     #[inline]
     #[must_use]
@@ -517,21 +506,6 @@ impl Throughput {
         Self(check_continuous("Throughput", fps))
     }
 
-    /// Throughput of one frame per `period_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// If `period_s` is not finite or is not strictly positive.
-    #[inline]
-    #[must_use]
-    pub fn from_period_s(period_s: f64) -> Self {
-        assert!(
-            period_s.is_finite() && period_s > 0.0,
-            "Throughput period must be finite and positive, got {period_s}"
-        );
-        Self(1.0 / period_s)
-    }
-
     /// The rate in frames per second.
     #[inline]
     #[must_use]
@@ -614,7 +588,6 @@ mod tests {
     fn mib_and_millijoules_scale() {
         assert!((Bytes::new(2 * 1024 * 1024).mib() - 2.0).abs() < 1e-12);
         assert!((Joules::new(0.004).millijoules() - 4.0).abs() < 1e-12);
-        assert!((Joules::from_picojoules(2e12).get() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -628,8 +601,7 @@ mod tests {
 
     #[test]
     fn throughput_period_round_trips() {
-        let t = Throughput::from_period_s(0.02);
-        assert!((t.get() - 50.0).abs() < 1e-12);
+        let t = Throughput::new(50.0);
         assert!((t.period_s().unwrap() - 0.02).abs() < 1e-12);
         assert_eq!(Throughput::ZERO.period_s(), None);
     }

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use crate::cnn::zoo;
 use crate::core::CostModel;
-use crate::error::Error;
+use crate::error::{panic_text, Error};
 use crate::fpga::FpgaBoard;
 use crate::json::Json;
 use crate::scenario::{apply_override, set_path, Scenario};
@@ -614,11 +614,10 @@ fn run_batch(dir: &Path, workers: usize, out: &mut dyn Write) -> Result<(), Erro
                     }));
                     attempt.unwrap_or_else(|payload| {
                         session = Session::new();
-                        Err(Error::Remote {
-                            kind: "internal".into(),
-                            exit_code: Error::INTERNAL_EXIT_CODE,
-                            detail: format!("panic: {}", panic_message(&payload)),
-                        })
+                        Err(Error::internal(format!(
+                            "panic: {}",
+                            panic_text(&payload).unwrap_or("non-string panic payload")
+                        )))
                     })
                 })
                 .collect()
@@ -654,7 +653,7 @@ fn run_batch(dir: &Path, workers: usize, out: &mut dyn Write) -> Result<(), Erro
             Ok(outcome) => entry.push("outcome", outcome.to_json()),
             Err(e) => {
                 failures += 1;
-                entry.push("error", batch_error_entry(&e));
+                entry.push("error", e.to_wire());
             }
         }
         entries.push(entry);
@@ -671,44 +670,6 @@ fn run_batch(dir: &Path, workers: usize, out: &mut dyn Write) -> Result<(), Erro
         });
     }
     Ok(())
-}
-
-/// Typed per-file error object for batch reports: machine-readable
-/// `kind` and `exit_code` alongside the human `detail`, so scripts can
-/// triage a partial batch without string matching. A `Remote` error
-/// (e.g. a panic rendered as `internal`/9) passes its carried
-/// classification through verbatim.
-fn batch_error_entry(e: &Error) -> Json {
-    let mut entry = Json::object();
-    match e {
-        Error::Remote {
-            kind,
-            exit_code,
-            detail,
-        } => {
-            entry.push("kind", kind.clone());
-            entry.push("exit_code", u64::from(*exit_code));
-            entry.push("detail", detail.clone());
-        }
-        other => {
-            entry.push("kind", other.kind());
-            entry.push("exit_code", u64::from(other.exit_code()));
-            entry.push("detail", other.to_string());
-        }
-    }
-    entry
-}
-
-/// Best-effort text of a panic payload (the `&str`/`String` forms that
-/// `panic!` produces cover practically every real panic).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Human rendering of an outcome — the presentation layer of the legacy

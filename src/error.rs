@@ -10,7 +10,7 @@ use crate::calib::CalibError;
 use crate::cnn::CnnError;
 use crate::core::ConfigError;
 use crate::dse::ExploreError;
-use crate::json::JsonError;
+use crate::json::{Json, JsonError};
 use crate::sim::SimConfigError;
 
 /// Top-level error of the `mccm` facade.
@@ -109,6 +109,16 @@ impl Error {
     /// through [`Error::Remote`].
     pub const INTERNAL_EXIT_CODE: u8 = 9;
 
+    /// The [`Error::Remote`] a request that died in a panic reports:
+    /// kind `internal`, exit code [`Self::INTERNAL_EXIT_CODE`].
+    pub(crate) fn internal(detail: String) -> Self {
+        Self::Remote {
+            kind: "internal".to_string(),
+            exit_code: Self::INTERNAL_EXIT_CODE,
+            detail,
+        }
+    }
+
     /// Stable machine-readable tag of the variant, used in batch reports
     /// and serve responses. One tag per variant; documented alongside
     /// the exit codes in `docs/serving.md`.
@@ -171,6 +181,89 @@ impl Error {
     pub fn retryable(&self) -> bool {
         matches!(self, Self::Busy { .. } | Self::Draining)
     }
+
+    /// The wire form `{kind, exit_code[, retry_after_ms], detail}`: a
+    /// batch report entry, and the `error` member of a serve reply. A
+    /// `Remote` error passes its carried classification through
+    /// verbatim, so scripts triage without string matching.
+    pub(crate) fn to_wire(&self) -> Json {
+        let (kind, detail) = match self {
+            Self::Remote { kind, detail, .. } => (kind.as_str(), detail.clone()),
+            other => (other.kind(), other.to_string()),
+        };
+        let mut o = Json::object();
+        o.push("kind", kind);
+        o.push("exit_code", u64::from(self.exit_code()));
+        if let Self::Busy { retry_after_ms } = self {
+            o.push("retry_after_ms", *retry_after_ms);
+        }
+        o.push("detail", detail);
+        o
+    }
+
+    /// A serve error reply: `{[id,] ok: false, error: <wire form>}`.
+    pub(crate) fn to_reply(&self, id: Option<u64>) -> Json {
+        let mut o = Json::object();
+        if let Some(id) = id {
+            o.push("id", id);
+        }
+        o.push("ok", false);
+        o.push("error", self.to_wire());
+        o
+    }
+
+    /// Maps a serve error reply back to a typed error: `busy`,
+    /// `draining` and `protocol` to their variants, every other kind to
+    /// [`Error::Remote`]; a reply that is not an error is a protocol
+    /// fault.
+    pub(crate) fn from_reply(response: &Json) -> Self {
+        let Some(error) = response.get("error") else {
+            return Self::Protocol(format!(
+                "response is neither ok nor an error: {}",
+                response.to_string_compact()
+            ));
+        };
+        let kind = error.get("kind").and_then(Json::as_str).unwrap_or("");
+        let detail = error
+            .get("detail")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string();
+        match kind {
+            "busy" => Self::Busy {
+                retry_after_ms: error
+                    .get("retry_after_ms")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0),
+            },
+            "draining" => Self::Draining,
+            "protocol" => Self::Protocol(detail),
+            "" => Self::Protocol(format!(
+                "error response without a kind: {}",
+                response.to_string_compact()
+            )),
+            _ => Self::Remote {
+                kind: kind.to_string(),
+                exit_code: error
+                    .get("exit_code")
+                    .and_then(Json::as_u64)
+                    .and_then(|c| u8::try_from(c).ok())
+                    .unwrap_or(Self::INTERNAL_EXIT_CODE),
+                detail,
+            },
+        }
+    }
+}
+
+/// The text of a panic payload, for the `&str` and `String` forms that
+/// `panic!` produces (practically every real panic). Takes the `Box`
+/// itself: a `&Box<dyn Any>` passed as `&dyn Any` coerces the box, not
+/// the payload, and every downcast misses.
+pub(crate) fn panic_text(payload: &Box<dyn std::any::Any + Send>) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }
 
 impl fmt::Display for Error {
@@ -366,6 +459,14 @@ mod tests {
     }
 
     #[test]
+    fn panic_text_reads_caught_payloads() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("closure panics");
+        assert_eq!(panic_text(&caught(|| panic!("boom"))), Some("boom"));
+        assert_eq!(panic_text(&caught(|| panic!("boom {}", 1))), Some("boom 1"));
+        assert_eq!(panic_text(&caught(|| std::panic::panic_any(7u8))), None);
+    }
+
+    #[test]
     fn inner_values_stay_matchable() {
         let e: Error = ExploreError::AttemptsExhausted {
             wanted: 5,
@@ -376,6 +477,150 @@ mod tests {
         match e {
             Error::Explore(ExploreError::AttemptsExhausted { wanted: 5, .. }) => {}
             other => panic!("lost the inner value: {other:?}"),
+        }
+    }
+
+    fn serve_reply(e: &Error) -> Json {
+        e.to_reply(Some(7))
+    }
+
+    fn batch_entry(e: &Error) -> String {
+        e.to_wire().to_string_compact()
+    }
+
+    fn decode(reply: &Json) -> Error {
+        Error::from_reply(reply)
+    }
+
+    /// One error of every kind, with its wire object: a batch entry, and
+    /// the `error` member of a serve reply.
+    fn wire_cases() -> Vec<(Error, &'static str)> {
+        vec![
+            (
+                ArchError::EmptySpec.into(),
+                r#"{"kind":"arch","exit_code":4,"detail":"accelerator specification has no assignments"}"#,
+            ),
+            (
+                CalibError::Format {
+                    path: "store.json".into(),
+                    detail: "missing `version`".into(),
+                }
+                .into(),
+                r#"{"kind":"calib","exit_code":5,"detail":"calibration store `store.json`: missing `version`"}"#,
+            ),
+            (
+                CnnError::EmptyModel.into(),
+                r#"{"kind":"cnn","exit_code":4,"detail":"model has no layers"}"#,
+            ),
+            (
+                ExploreError::BadConfig {
+                    detail: "islands".into(),
+                }
+                .into(),
+                r#"{"kind":"explore","exit_code":4,"detail":"bad exploration config: islands"}"#,
+            ),
+            (
+                ConfigError::BadBandwidthDerate { derate: 2.0 }.into(),
+                r#"{"kind":"model_config","exit_code":4,"detail":"bandwidth derate must be in (0, 1], got 2"}"#,
+            ),
+            (
+                SimConfigError::TooFewImages {
+                    images: 1,
+                    minimum: 3,
+                }
+                .into(),
+                r#"{"kind":"sim_config","exit_code":4,"detail":"simulator needs at least 3 images (first = latency, steady tail = throughput), got 1"}"#,
+            ),
+            (
+                JsonError {
+                    offset: 3,
+                    detail: "expected `:`".into(),
+                }
+                .into(),
+                r#"{"kind":"json","exit_code":3,"detail":"JSON parse error at byte 3: expected `:`"}"#,
+            ),
+            (
+                Error::scenario("model.zoo", "unknown model \"vgg\"; try resnet50"),
+                r#"{"kind":"scenario","exit_code":3,"detail":"scenario field `model.zoo`: unknown model \"vgg\"; try resnet50"}"#,
+            ),
+            (
+                Error::Usage("flag `--x`\texpects a number".into()),
+                r#"{"kind":"usage","exit_code":2,"detail":"flag `--x`\texpects a number"}"#,
+            ),
+            (
+                Error::io("reading scenario `a.json`", std::io::Error::other("gone")),
+                r#"{"kind":"io","exit_code":5,"detail":"reading scenario `a.json`: gone"}"#,
+            ),
+            (
+                Error::Busy { retry_after_ms: 50 },
+                r#"{"kind":"busy","exit_code":7,"retry_after_ms":50,"detail":"server busy; retry after 50 ms"}"#,
+            ),
+            (
+                Error::Draining,
+                r#"{"kind":"draining","exit_code":7,"detail":"server draining; not admitting new requests"}"#,
+            ),
+            (
+                Error::Protocol("short frame".into()),
+                r#"{"kind":"protocol","exit_code":8,"detail":"protocol violation: short frame"}"#,
+            ),
+            (
+                Error::Remote {
+                    kind: "internal".into(),
+                    exit_code: Error::INTERNAL_EXIT_CODE,
+                    detail: "request panicked: boom".into(),
+                },
+                r#"{"kind":"internal","exit_code":9,"detail":"request panicked: boom"}"#,
+            ),
+            (
+                Error::Remote {
+                    kind: "arch".into(),
+                    exit_code: 4,
+                    detail: "infeasible".into(),
+                },
+                r#"{"kind":"arch","exit_code":4,"detail":"infeasible"}"#,
+            ),
+            (
+                Error::BatchPartial {
+                    failed: 1,
+                    total: 3,
+                },
+                r#"{"kind":"batch_partial","exit_code":6,"detail":"batch partially failed: 1 of 3 scenarios"}"#,
+            ),
+        ]
+    }
+
+    /// The kind a wire object names (a `Remote` error's carried one).
+    fn wire_kind(e: &Error) -> &str {
+        match e {
+            Error::Remote { kind, .. } => kind,
+            other => other.kind(),
+        }
+    }
+
+    #[test]
+    fn wire_form_pins_serve_replies_and_batch_entries() {
+        for (e, wire) in wire_cases() {
+            // The daemon and a batch both run local sessions: the only
+            // `Remote` a serve reply carries is a panic's `internal` one,
+            // and a batch entry is never `busy`.
+            if !matches!(e, Error::Busy { .. }) {
+                assert_eq!(batch_entry(&e), wire, "{e:?}");
+            }
+            if matches!(&e, Error::Remote { kind, .. } if kind != "internal") {
+                continue;
+            }
+            let reply = serve_reply(&e);
+            assert_eq!(
+                reply.to_string_compact(),
+                format!(r#"{{"id":7,"ok":false,"error":{wire}}}"#),
+                "{e:?}"
+            );
+            let back = decode(&reply);
+            assert_eq!(wire_kind(&back), wire_kind(&e), "{e:?}");
+            assert_eq!(back.exit_code(), e.exit_code(), "{e:?}");
+            if let Error::Busy { retry_after_ms } = e {
+                assert!(matches!(back, Error::Busy { retry_after_ms: ms } if ms == retry_after_ms));
+            }
         }
     }
 }

@@ -710,7 +710,8 @@ fn parse_ce_overrides(v: &Json) -> Result<Vec<CeOverride>, Error> {
     Ok(out)
 }
 
-fn metric_list(metrics: &[Metric]) -> Json {
+/// A metric list as the lower-case names scenario and outcome JSON use.
+pub(crate) fn metric_list(metrics: &[Metric]) -> Json {
     Json::Array(
         metrics
             .iter()

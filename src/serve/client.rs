@@ -137,7 +137,7 @@ impl Client {
                 .unwrap_or(false);
             return Ok(RunReply { outcome, degraded });
         }
-        Err(decode_error(&response))
+        Err(Error::from_reply(&response))
     }
 
     /// Fetches the daemon's stats object (plus a `draining` flag).
@@ -152,7 +152,7 @@ impl Client {
         if response.get("ok").and_then(Json::as_bool) == Some(true) {
             return Ok(response);
         }
-        Err(decode_error(&response))
+        Err(Error::from_reply(&response))
     }
 
     /// Asks the daemon to drain and exit; returns its final response
@@ -168,46 +168,7 @@ impl Client {
         if response.get("ok").and_then(Json::as_bool) == Some(true) {
             return Ok(response);
         }
-        Err(decode_error(&response))
-    }
-}
-
-/// Maps a `{"ok":false,"error":{...}}` frame back to a typed [`Error`].
-fn decode_error(response: &Json) -> Error {
-    let Some(error) = response.get("error") else {
-        return Error::Protocol(format!(
-            "response is neither ok nor an error: {}",
-            response.to_string_compact()
-        ));
-    };
-    let kind = error.get("kind").and_then(Json::as_str).unwrap_or("");
-    let detail = error
-        .get("detail")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    match kind {
-        "busy" => Error::Busy {
-            retry_after_ms: error
-                .get("retry_after_ms")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        },
-        "draining" => Error::Draining,
-        "protocol" => Error::Protocol(detail),
-        "" => Error::Protocol(format!(
-            "error response without a kind: {}",
-            response.to_string_compact()
-        )),
-        _ => Error::Remote {
-            kind: kind.to_string(),
-            exit_code: error
-                .get("exit_code")
-                .and_then(Json::as_u64)
-                .and_then(|c| u8::try_from(c).ok())
-                .unwrap_or(Error::INTERNAL_EXIT_CODE),
-            detail,
-        },
+        Err(Error::from_reply(&response))
     }
 }
 
@@ -289,18 +250,18 @@ mod tests {
             r
         };
         assert!(matches!(
-            decode_error(&frame("busy", &[("retry_after_ms", 30)])),
+            Error::from_reply(&frame("busy", &[("retry_after_ms", 30)])),
             Error::Busy { retry_after_ms: 30 }
         ));
         assert!(matches!(
-            decode_error(&frame("draining", &[])),
+            Error::from_reply(&frame("draining", &[])),
             Error::Draining
         ));
         assert!(matches!(
-            decode_error(&frame("protocol", &[])),
+            Error::from_reply(&frame("protocol", &[])),
             Error::Protocol(_)
         ));
-        match decode_error(&frame("arch", &[])) {
+        match Error::from_reply(&frame("arch", &[])) {
             Error::Remote {
                 kind, exit_code, ..
             } => {
@@ -309,6 +270,9 @@ mod tests {
             }
             other => panic!("expected remote, got {other:?}"),
         }
-        assert!(matches!(decode_error(&Json::object()), Error::Protocol(_)));
+        assert!(matches!(
+            Error::from_reply(&Json::object()),
+            Error::Protocol(_)
+        ));
     }
 }

@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::dse::{CacheStats, CancelToken};
-use crate::error::Error;
+use crate::error::{panic_text, Error};
 use crate::json::Json;
 use crate::scenario::Scenario;
 use crate::session::{Outcome, Session};
@@ -142,50 +142,7 @@ impl ServeStats {
 
 /// What a worker hands back to the connection handler.
 struct WorkReply {
-    payload: Result<(Json, bool), WireError>,
-}
-
-/// A serialization-ready error (kind, exit code, detail) — the wire
-/// form of [`Error`], plus the `internal` kind panics map to.
-struct WireError {
-    kind: String,
-    exit_code: u8,
-    detail: String,
-    retry_after_ms: Option<u64>,
-}
-
-impl WireError {
-    fn of(e: &Error) -> Self {
-        Self {
-            kind: e.kind().to_string(),
-            exit_code: e.exit_code(),
-            detail: e.to_string(),
-            retry_after_ms: match e {
-                Error::Busy { retry_after_ms } => Some(*retry_after_ms),
-                _ => None,
-            },
-        }
-    }
-
-    fn internal(detail: String) -> Self {
-        Self {
-            kind: "internal".to_string(),
-            exit_code: Error::INTERNAL_EXIT_CODE,
-            detail,
-            retry_after_ms: None,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::object();
-        o.push("kind", self.kind.as_str());
-        o.push("exit_code", u64::from(self.exit_code));
-        if let Some(ms) = self.retry_after_ms {
-            o.push("retry_after_ms", ms);
-        }
-        o.push("detail", self.detail.as_str());
-        o
-    }
+    payload: Result<(Json, bool), Error>,
 }
 
 /// One admitted request.
@@ -390,7 +347,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Ok(Err(e)) => {
                 shared.bump(|s| s.failed += 1);
-                Err(WireError::of(&e))
+                Err(e)
             }
             Err(panic) => {
                 // The session may hold arbitrary partial state from the
@@ -400,7 +357,10 @@ fn worker_loop(shared: &Arc<Shared>) {
                     s.failed += 1;
                     s.panics_recovered += 1;
                 });
-                Err(WireError::internal(panic_message(&panic)))
+                Err(Error::internal(panic_text(&panic).map_or_else(
+                    || "request panicked".to_string(),
+                    |s| format!("request panicked: {s}"),
+                )))
             }
         };
         shared.job_done();
@@ -450,16 +410,6 @@ fn execute(
     Ok((outcome.to_json(), degraded, counters))
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("request panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("request panicked: {s}")
-    } else {
-        "request panicked".to_string()
-    }
-}
-
 /// Fires cancel tokens when their deadlines pass.
 fn watchdog_loop(shared: &Arc<Shared>) {
     let mut armed = lock(&shared.watchdog);
@@ -504,7 +454,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Err(e) => {
                 // Answer what can be answered, then drop the connection:
                 // after a framing error the stream offset is unknowable.
-                let reply = error_response(None, &WireError::of(&e));
+                let reply = e.to_reply(None);
                 let _ = write_frame(&mut writer, &reply);
                 return;
             }
@@ -543,12 +493,8 @@ fn dispatch(request: &Json, shared: &Arc<Shared>) -> Json {
     }
     let id = request.get("id").and_then(Json::as_u64);
     let Some(run) = request.get("run") else {
-        return error_response(
-            id,
-            &WireError::of(&Error::Protocol(
-                "request has none of `run`, `stats`, `shutdown`".to_string(),
-            )),
-        );
+        return Error::Protocol("request has none of `run`, `stats`, `shutdown`".to_string())
+            .to_reply(id);
     };
     handle_run(id, run, request, shared)
 }
@@ -558,7 +504,7 @@ fn handle_run(id: Option<u64>, run: &Json, request: &Json, shared: &Arc<Shared>)
     shared.bump(|s| s.received += 1);
     if shared.draining.load(Ordering::Acquire) {
         shared.bump(|s| s.rejected_draining += 1);
-        return error_response(id, &WireError::of(&Error::Draining));
+        return Error::Draining.to_reply(id);
     }
     let (tx, rx) = mpsc::channel();
     let cancel = CancelToken::new();
@@ -567,12 +513,10 @@ fn handle_run(id: Option<u64>, run: &Json, request: &Json, shared: &Arc<Shared>)
         if q.len() >= shared.config.queue_capacity {
             drop(q);
             shared.bump(|s| s.rejected_busy += 1);
-            return error_response(
-                id,
-                &WireError::of(&Error::Busy {
-                    retry_after_ms: shared.config.retry_after_ms,
-                }),
-            );
+            return Error::Busy {
+                retry_after_ms: shared.config.retry_after_ms,
+            }
+            .to_reply(id);
         }
         shared.bump(|s| s.admitted += 1);
         shared.pending.fetch_add(1, Ordering::AcqRel);
@@ -599,20 +543,7 @@ fn handle_run(id: Option<u64>, run: &Json, request: &Json, shared: &Arc<Shared>)
             o.push("outcome", outcome);
             o
         }
-        Ok(WorkReply { payload: Err(e) }) => error_response(id, &e),
-        Err(_) => error_response(
-            id,
-            &WireError::internal("worker vanished before replying".to_string()),
-        ),
+        Ok(WorkReply { payload: Err(e) }) => e.to_reply(id),
+        Err(_) => Error::internal("worker vanished before replying".to_string()).to_reply(id),
     }
-}
-
-fn error_response(id: Option<u64>, e: &WireError) -> Json {
-    let mut o = Json::object();
-    if let Some(id) = id {
-        o.push("id", id);
-    }
-    o.push("ok", false);
-    o.push("error", e.to_json());
-    o
 }

@@ -38,7 +38,7 @@ use crate::dse::{
 };
 use crate::error::Error;
 use crate::json::Json;
-use crate::scenario::{Action, Scenario};
+use crate::scenario::{metric_list, Action, Scenario};
 
 /// Cache accounting of a [`Session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,6 +159,11 @@ impl Session {
     ) -> Result<(Outcome, bool), Error> {
         let explorer = self.context_for(scenario)?;
         let workers = scenario.workers;
+        let precision = scenario
+            .precision
+            .name()
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("{:?}", scenario.precision));
         match &scenario.action {
             Action::Evaluate { design } => {
                 let mut spec = design.instantiate(explorer.model())?;
@@ -173,11 +178,7 @@ impl Session {
                 Ok((
                     Outcome::Evaluation(Box::new(EvaluationOutcome {
                         board: explorer.builder().board().to_string(),
-                        precision: scenario
-                            .precision
-                            .name()
-                            .map(str::to_string)
-                            .unwrap_or_else(|| format!("{:?}", scenario.precision)),
+                        precision,
                         batch: scenario.batch,
                         energy: estimate,
                         gops_per_w,
@@ -295,11 +296,6 @@ impl Session {
                 let promoted_indices = crate::calib::promote_top_k(&front, &guided.metrics, *top_k);
                 let model_name = explorer.model().name().to_string();
                 let board_name = explorer.builder().board().name.clone();
-                let precision = scenario
-                    .precision
-                    .name()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("{:?}", scenario.precision));
                 let sim_config = crate::sim::SimConfig::default();
                 let mut fresh = crate::calib::CalibStore::new();
                 let mut promoted = Vec::new();
@@ -656,15 +652,6 @@ impl Outcome {
     }
 }
 
-fn metric_names(metrics: &[Metric]) -> Json {
-    Json::Array(
-        metrics
-            .iter()
-            .map(|m| Json::from(m.name().to_ascii_lowercase()))
-            .collect(),
-    )
-}
-
 fn summary_json(s: &EvalSummary) -> Json {
     let mut row = Json::object();
     row.push("notation", s.notation.as_str());
@@ -795,7 +782,7 @@ fn sample_json(o: &SampleOutcome) -> Json {
     root.push("board", o.board.as_str());
     root.push("evaluated", o.evaluated);
     root.push("seed", o.seed);
-    root.push("metrics", metric_names(&o.metrics));
+    root.push("metrics", metric_list(&o.metrics));
     root.push("hypervolume", o.hypervolume);
     root.push("front_size", o.front.len());
     root.push(
@@ -823,7 +810,7 @@ fn optimize_json(o: &OptimizeOutcome) -> Json {
     cache.push("memo_hits", o.cache.memo_hits);
     cache.push("memo_evictions", o.cache.memo_evictions);
     root.push("cache", cache);
-    root.push("metrics", metric_names(&o.metrics));
+    root.push("metrics", metric_list(&o.metrics));
     let mut best = Json::object();
     for &m in &o.metrics {
         let value = o
@@ -891,7 +878,7 @@ fn calibrate_json(o: &CalibrateOutcome) -> Json {
     root.push("budget", o.budget);
     root.push("evaluations", o.evaluations);
     root.push("feasible", o.feasible);
-    root.push("metrics", metric_names(&o.metrics));
+    root.push("metrics", metric_list(&o.metrics));
     root.push("top_k", o.top_k);
     root.push("front_size", o.front.len());
     let fitted: Vec<(Metric, &Correction)> = o

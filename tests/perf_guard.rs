@@ -1,11 +1,12 @@
 //! Cheap tier-1 performance guard for the DSE fast lane.
 //!
 //! A mid-size summary sweep must finish far inside a generous wall-clock
-//! ceiling even in debug builds. The point is not to benchmark (criterion
-//! does that) but to fail loudly if a change re-introduces per-design
-//! work that the shared build context is supposed to amortize — e.g.
-//! busting the parallelism memo cache, deep-cloning the conv view per
-//! design, or an accidental O(n²) in the sweep loop. At the time of
+//! ceiling even in debug builds. The point is not to benchmark
+//! (`mccm-bench speed` and `perfbench/` do that) but to fail loudly if a
+//! change re-introduces per-design work that the shared build context is
+//! supposed to amortize — e.g. busting the parallelism memo cache,
+//! deep-cloning the conv view per design, or an accidental O(n²) in the
+//! sweep loop. At the time of
 //! writing the sweep below runs in ~2.5 s unoptimized (~25x headroom);
 //! the pre-fast-lane code took ~40 s, well over the ceiling.
 
