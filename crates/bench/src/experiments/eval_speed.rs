@@ -8,7 +8,7 @@
 //!
 //! * **baseline** — the pre-fast-lane per-design path, reconstructed:
 //!   parallelism memoization disabled, full [`CostModel::evaluate`] with
-//!   all report vectors, then [`mccm_core::Evaluation::summary`];
+//!   all report vectors, then `Evaluation::summary()`;
 //! * **fastlane** — [`Explorer::par_sample_custom_summaries`] inline
 //!   (`workers = 1`): memoized builds against the shared context plus
 //!   the allocation-free [`CostModel::evaluate_summary`].

@@ -42,7 +42,7 @@ pub fn best_instance(
         .iter()
         .filter(|p| p.architecture == arch)
         .reduce(|a, b| {
-            if metric.better(metric.value(&b.eval), metric.value(&a.eval)) {
+            if metric.better(metric.value(&b.eval.summary), metric.value(&a.eval.summary)) {
                 b
             } else {
                 a

@@ -17,12 +17,18 @@
 //! * **Bounded.** Each key holds at most `max_pairs_per_key` pairs;
 //!   inserting into a full key evicts the oldest pair (FIFO), keeping
 //!   store size — and fit cost — bounded without a clock.
+//! * **Linear-time loads.** Keys and measurement sites are hash-indexed
+//!   and eviction advances a live-range offset instead of shifting the
+//!   pair vector, so every insertion is amortized O(1) and an untrusted
+//!   file with a huge `max_pairs_per_key` loads in linear time.
 //! * **Typed errors.** Loading reports I/O, JSON, and schema faults as
 //!   distinct [`CalibError`] variants naming the file.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
+use std::mem;
 use std::path::Path;
 
 use mccm_core::Metric;
@@ -36,7 +42,7 @@ pub const DEFAULT_MAX_PAIRS_PER_KEY: usize = 256;
 
 /// Identifies one correction population: all pairs measured on the same
 /// board at the same precision for the same metric.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     /// Board name (e.g. `zc706`).
     pub board: String,
@@ -67,7 +73,14 @@ impl Pair {
     pub fn same_site(&self, other: &Pair) -> bool {
         self.model == other.model && self.batch == other.batch && self.design == other.design
     }
+
+    fn site(&self) -> Site {
+        (self.model.clone(), self.batch, self.design.clone())
+    }
 }
+
+/// A pair's measurement site `(model, batch, design)`.
+type Site = (String, usize, String);
 
 /// Error loading, parsing, or saving a calibration store.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,10 +136,62 @@ pub fn metric_token(metric: Metric) -> &'static str {
 
 /// Insertion-ordered, bounded collection of calibration pairs (see the
 /// module docs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CalibStore {
     max_pairs_per_key: usize,
-    entries: Vec<(StoreKey, Vec<Pair>)>,
+    /// Keys in insertion order.
+    entries: Vec<KeyPairs>,
+    /// Position of each key in `entries`.
+    index: HashMap<StoreKey, usize>,
+}
+
+impl PartialEq for CalibStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.max_pairs_per_key == other.max_pairs_per_key
+            && self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| a.key == b.key && a.live() == b.live())
+    }
+}
+
+/// One key's pairs. `pairs[..dead]` are evicted entries awaiting
+/// compaction; the live, insertion-ordered pairs are `pairs[dead..]`.
+#[derive(Debug, Clone)]
+struct KeyPairs {
+    key: StoreKey,
+    pairs: Vec<Pair>,
+    dead: usize,
+    /// Position in `pairs` of each live pair's site.
+    sites: HashMap<Site, usize>,
+}
+
+impl KeyPairs {
+    fn live(&self) -> &[Pair] {
+        &self.pairs[self.dead..]
+    }
+
+    /// Drops the oldest live pair, compacting once half the vector is
+    /// dead so eviction stays amortized O(1).
+    fn evict_oldest(&mut self) {
+        let oldest = &mut self.pairs[self.dead];
+        let site = (
+            mem::take(&mut oldest.model),
+            oldest.batch,
+            mem::take(&mut oldest.design),
+        );
+        self.sites.remove(&site);
+        self.dead += 1;
+        if 2 * self.dead >= self.pairs.len() {
+            self.pairs.drain(..self.dead);
+            for i in self.sites.values_mut() {
+                *i -= self.dead;
+            }
+            self.dead = 0;
+        }
+    }
 }
 
 impl Default for CalibStore {
@@ -147,6 +212,7 @@ impl CalibStore {
         Self {
             max_pairs_per_key: max_pairs_per_key.max(1),
             entries: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
@@ -157,7 +223,7 @@ impl CalibStore {
 
     /// Total pairs across all keys.
     pub fn pair_count(&self) -> usize {
-        self.entries.iter().map(|(_, pairs)| pairs.len()).sum()
+        self.entries.iter().map(|e| e.live().len()).sum()
     }
 
     /// Whether the store holds no pairs.
@@ -167,16 +233,12 @@ impl CalibStore {
 
     /// Keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &StoreKey> {
-        self.entries.iter().map(|(k, _)| k)
+        self.entries.iter().map(|e| &e.key)
     }
 
     /// Pairs under `key`, in insertion order.
     pub fn pairs(&self, key: &StoreKey) -> &[Pair] {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, pairs)| pairs.as_slice())
-            .unwrap_or(&[])
+        self.index.get(key).map_or(&[], |&i| self.entries[i].live())
     }
 
     /// Pairs for a `(board, precision, metric)` triple.
@@ -196,25 +258,31 @@ impl CalibStore {
     /// evicting the oldest pair if the key is at its bound.
     pub fn insert(&mut self, key: StoreKey, pair: Pair) -> bool {
         let max = self.max_pairs_per_key;
-        let idx = match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                self.entries.push((key, Vec::new()));
-                self.entries.len() - 1
-            }
-        };
-        let pairs = &mut self.entries[idx].1;
-        if let Some(existing) = pairs.iter_mut().find(|p| p.same_site(&pair)) {
+        let entries = &mut self.entries;
+        let idx = *self.index.entry(key).or_insert_with_key(|key| {
+            entries.push(KeyPairs {
+                key: key.clone(),
+                pairs: Vec::new(),
+                dead: 0,
+                sites: HashMap::new(),
+            });
+            entries.len() - 1
+        });
+        let entry = &mut entries[idx];
+        let site = pair.site();
+        if let Some(&i) = entry.sites.get(&site) {
+            let existing = &mut entry.pairs[i];
             if *existing == pair {
                 return false;
             }
             *existing = pair;
             return true;
         }
-        if pairs.len() >= max {
-            pairs.remove(0);
+        if entry.live().len() >= max {
+            entry.evict_oldest();
         }
-        pairs.push(pair);
+        entry.sites.insert(site, entry.pairs.len());
+        entry.pairs.push(pair);
         true
     }
 
@@ -257,9 +325,9 @@ impl CalibStore {
     /// into an identical one returns 0 and leaves the bytes fixed.
     pub fn merge(&mut self, other: &CalibStore) -> usize {
         let mut changed = 0;
-        for (key, pairs) in &other.entries {
-            for pair in pairs {
-                if self.insert(key.clone(), pair.clone()) {
+        for entry in &other.entries {
+            for pair in entry.live() {
+                if self.insert(entry.key.clone(), pair.clone()) {
                     changed += 1;
                 }
             }
@@ -274,13 +342,14 @@ impl CalibStore {
         root.push("version", STORE_VERSION);
         root.push("max_pairs_per_key", self.max_pairs_per_key);
         let mut keys = Vec::new();
-        for (key, pairs) in &self.entries {
+        for entry in &self.entries {
+            let key = &entry.key;
             let mut k = Json::object();
             k.push("board", key.board.as_str());
             k.push("precision", key.precision.as_str());
             k.push("metric", metric_token(key.metric));
             let mut ps = Vec::new();
-            for p in pairs {
+            for p in entry.live() {
                 let mut pj = Json::object();
                 pj.push("model", p.model.as_str());
                 pj.push("batch", p.batch);
@@ -477,6 +546,73 @@ mod tests {
         let twin = s.clone();
         assert_eq!(s.merge(&twin), 0);
         assert_eq!(s.to_json_string(), before);
+    }
+
+    /// Ratio guard, not an absolute time: a store file holding `8 * n`
+    /// pairs under one key must load in under 16x the time of one with
+    /// `n` (a quadratic insert takes ~64x). `max_of(pairs)` sets the
+    /// file's per-key bound. Best of 3 loads per size.
+    fn assert_loads_linearly(n: usize, max_of: impl Fn(usize) -> usize) {
+        let best_load_secs = |pairs: usize| {
+            let mut s = CalibStore::with_max_pairs(pairs);
+            for i in 0..pairs {
+                s.insert(key(Metric::Latency), pair(&format!("d{i}"), 1.0, 1.1));
+            }
+            let max = max_of(pairs);
+            s.max_pairs_per_key = max;
+            let text = s.to_json_string();
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let back = CalibStore::from_json_str(&text, "test").unwrap();
+                    let secs = start.elapsed().as_secs_f64();
+                    let live = back.pairs(&key(Metric::Latency));
+                    assert_eq!(live.len(), pairs.min(max));
+                    assert_eq!(live[live.len() - 1].design, format!("d{}", pairs - 1));
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let small = best_load_secs(n);
+        let large = best_load_secs(8 * n);
+        assert!(
+            large < 16.0 * small,
+            "8x pairs took {:.1}x the time ({large:.6}s vs {small:.6}s)",
+            large / small
+        );
+    }
+
+    #[test]
+    fn store_load_scales_linearly() {
+        assert_loads_linearly(2048, |pairs| pairs);
+    }
+
+    #[test]
+    fn store_load_with_eviction_scales_linearly() {
+        // Three quarters of the file's pairs are evicted while it loads.
+        assert_loads_linearly(2048, |pairs| pairs / 4);
+    }
+
+    #[test]
+    fn eviction_and_compaction_keep_sites_indexed() {
+        let mut s = CalibStore::with_max_pairs(3);
+        for i in 0..10 {
+            assert!(s.insert(key(Metric::Latency), pair(&format!("d{i}"), 1.0, 1.1)));
+        }
+        let designs: Vec<&str> = s
+            .pairs(&key(Metric::Latency))
+            .iter()
+            .map(|p| p.design.as_str())
+            .collect();
+        assert_eq!(designs, ["d7", "d8", "d9"]);
+        // Surviving sites still dedupe and update in place; evicted ones
+        // come back as new pairs.
+        assert!(!s.insert(key(Metric::Latency), pair("d8", 1.0, 1.1)));
+        assert!(s.insert(key(Metric::Latency), pair("d8", 1.0, 1.2)));
+        assert_eq!(s.pairs(&key(Metric::Latency))[1].simulated, 1.2);
+        assert!(s.insert(key(Metric::Latency), pair("d0", 1.0, 1.1)));
+        assert_eq!(s.pairs(&key(Metric::Latency))[2].design, "d0");
+        assert_eq!(s.pair_count(), 3);
     }
 
     #[test]

@@ -192,7 +192,7 @@ mod tests {
             assert_eq!(eval.total_macs, macs);
             let m = EnergyModel::default();
             let full = m.estimate(&eval, macs);
-            let fast = m.estimate_summary(&eval.summary());
+            let fast = m.estimate_summary(&eval.summary);
             assert_eq!(full, fast, "{arch:?}");
             assert_eq!(
                 full.total_j().get().to_bits(),

@@ -21,7 +21,7 @@
 //! let acc = builder.build(&templates::hybrid(&model, 4)?)?;
 //! let eval = CostModel::evaluate(&acc);
 //! println!("{eval}");
-//! assert!(Metric::Throughput.value(&eval) > 0.0);
+//! assert!(Metric::Throughput.value(&eval.summary) > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -5,26 +5,14 @@
 use std::fmt;
 
 use crate::energy::EnergyModel;
-use crate::quantity::{Bytes, Macs};
-use crate::report::{EvalSummary, Evaluation};
+use crate::report::EvalSummary;
 
-/// Anything the four paper metrics can be read from: the full
-/// [`Evaluation`] or the lean [`EvalSummary`] used by big sweeps.
+/// Anything the four paper metrics can be read from. [`EvalSummary`] is
+/// the one production record; an [`Evaluation`](crate::Evaluation)
+/// passes its `summary` field.
 pub trait MetricSource {
     /// Raw value of `metric` on this record.
     fn metric_value(&self, metric: Metric) -> f64;
-}
-
-impl MetricSource for Evaluation {
-    fn metric_value(&self, metric: Metric) -> f64 {
-        match metric {
-            Metric::Latency => self.latency_s,
-            Metric::Throughput => self.throughput_fps,
-            Metric::OnChipBuffers => self.buffer_req_bytes.as_f64(),
-            Metric::OffChipAccesses => self.offchip_bytes.as_f64(),
-            Metric::Energy => default_energy_j(self.total_macs, self.offchip_bytes, self.latency_s),
-        }
-    }
 }
 
 impl MetricSource for EvalSummary {
@@ -34,19 +22,12 @@ impl MetricSource for EvalSummary {
             Metric::Throughput => self.throughput_fps,
             Metric::OnChipBuffers => self.buffer_req_bytes.as_f64(),
             Metric::OffChipAccesses => self.offchip_bytes.as_f64(),
-            Metric::Energy => default_energy_j(self.total_macs, self.offchip_bytes, self.latency_s),
+            Metric::Energy => EnergyModel::default()
+                .estimate_summary(self)
+                .total_j()
+                .get(),
         }
     }
-}
-
-/// Per-inference energy in joules under the default [`EnergyModel`]
-/// coefficients — the shared read both [`MetricSource`] impls go through,
-/// so `Metric::Energy` is bit-identical between the rich and fast lanes.
-fn default_energy_j(total_macs: Macs, offchip_bytes: Bytes, latency_s: f64) -> f64 {
-    EnergyModel::default()
-        .estimate_parts(total_macs, offchip_bytes, latency_s)
-        .total_j()
-        .get()
 }
 
 /// A paper metric (Table I / Table V rows).
@@ -127,6 +108,14 @@ impl Metric {
         }
     }
 
+    /// The best of `values` (the first one on exact ties); `None` when
+    /// `values` is empty.
+    pub fn best(&self, values: impl IntoIterator<Item = f64>) -> Option<f64> {
+        values
+            .into_iter()
+            .reduce(|a, b| if self.better(b, a) { b } else { a })
+    }
+
     /// Index of the best value in `values` (first on exact ties).
     pub fn best_index(&self, values: &[f64]) -> Option<usize> {
         let mut best: Option<usize> = None;
@@ -185,6 +174,16 @@ mod tests {
         assert_eq!(Metric::Latency.best_index(&[]), None);
         // First wins exact ties.
         assert_eq!(Metric::Latency.best_index(&[1.0, 1.0]), Some(0));
+    }
+
+    #[test]
+    fn best_finds_extremum_and_keeps_the_first_tie() {
+        assert_eq!(Metric::Latency.best([3.0, 1.0, 2.0]), Some(1.0));
+        assert_eq!(Metric::Throughput.best([3.0, 1.0, 2.0]), Some(3.0));
+        assert_eq!(Metric::Latency.best([]), None);
+        // 0.0 and -0.0 compare equal, so the sign shows which one won.
+        let first = Metric::Latency.best([0.0, -0.0]).unwrap();
+        assert!(first.is_sign_positive());
     }
 
     #[test]
@@ -273,34 +272,34 @@ mod tests {
 
     #[test]
     fn energy_metric_reads_identically_from_both_record_kinds() {
-        use crate::report::{EvalSummary, Evaluation};
+        use crate::quantity::{Bytes, Macs};
+        use crate::report::Evaluation;
         let eval = Evaluation {
-            notation: String::new(),
+            summary: EvalSummary {
+                notation: String::new(),
+                ce_count: 2,
+                total_macs: Macs::new(3_000_000_000),
+                latency_s: 0.02,
+                throughput_fps: 50.0,
+                buffer_req_bytes: Bytes::new(1),
+                buffer_alloc_bytes: Bytes::new(1),
+                offchip_bytes: Bytes::new(40_000_000),
+                offchip_weight_bytes: Bytes::ZERO,
+                offchip_fm_bytes: Bytes::ZERO,
+                memory_stall_fraction: 0.0,
+            },
             model_name: String::new(),
             board_name: String::new(),
-            ce_count: 2,
-            total_macs: Macs::new(3_000_000_000),
-            latency_s: 0.02,
-            throughput_fps: 50.0,
-            buffer_req_bytes: Bytes::new(1),
-            buffer_alloc_bytes: Bytes::new(1),
-            offchip_bytes: Bytes::new(40_000_000),
-            offchip_weight_bytes: Bytes::ZERO,
-            offchip_fm_bytes: Bytes::ZERO,
-            memory_stall_fraction: 0.0,
             segments: vec![],
             ces: vec![],
             layers: vec![],
         };
-        let summary: EvalSummary = eval.summary();
-        let a = Metric::Energy.value(&eval);
-        let b = Metric::Energy.value(&summary);
+        let a = Metric::Energy.value(&eval.summary);
         assert!(a > 0.0 && a.is_finite());
-        assert_eq!(a.to_bits(), b.to_bits());
-        // And it matches the energy model's own total.
-        let direct = crate::energy::EnergyModel::default()
-            .estimate_summary(&summary)
+        // The rich-lane energy estimate reads the same three scalars.
+        let rich = EnergyModel::default()
+            .estimate(&eval, eval.total_macs)
             .total_j();
-        assert_eq!(a.to_bits(), direct.get().to_bits());
+        assert_eq!(a.to_bits(), rich.get().to_bits());
     }
 }

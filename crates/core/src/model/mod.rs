@@ -26,10 +26,10 @@
 //! caller's [`EvalScratch`] so the steady state allocates nothing beyond
 //! the summary's notation string. [`CostModel::evaluate`] (and
 //! `evaluate_with`) additionally records the cores' per-layer steps and
-//! decorates the same summary with per-segment, per-engine and per-layer
-//! breakdowns — the right output for bottleneck analysis (Use Case 2).
-//! The summary lane is therefore bit-identical to
-//! `evaluate(...).summary()` by construction.
+//! returns an [`Evaluation`] that *holds* the same summary next to the
+//! per-segment, per-engine and per-layer breakdowns — the right output
+//! for bottleneck analysis (Use Case 2). The summary lane is therefore
+//! bit-identical to `evaluate(...).summary` by construction.
 
 pub(crate) mod pipeline;
 pub(crate) mod single_ce;
@@ -64,7 +64,7 @@ use single_ce::{eval_single_ce, BlockTotals, LayerStep};
 ///
 /// // The sweep-friendly fast lane produces the identical summary.
 /// let mut scratch = EvalScratch::new();
-/// assert_eq!(CostModel::evaluate_summary(&acc, &mut scratch), eval.summary());
+/// assert_eq!(CostModel::evaluate_summary(&acc, &mut scratch), eval.summary);
 /// # Ok(())
 /// # }
 /// ```
@@ -174,7 +174,7 @@ impl CostModel {
     /// Evaluates under a non-default configuration (ablation modes,
     /// bandwidth derating).
     ///
-    /// Every summary field comes from [`Self::recombine`] over the
+    /// The evaluation's `summary` is [`Self::recombine`]'s output over the
     /// segments' [`SegmentCost`]s, exactly as on the summary lane; this
     /// function only records the cores' per-layer steps and adds the
     /// per-segment, per-engine and per-layer breakdowns.
@@ -236,19 +236,9 @@ impl CostModel {
 
         let summary = Self::recombine(Self::design_coupling(acc, config), &costs, &mut scratch);
         Evaluation {
-            notation: summary.notation,
+            summary,
             model_name: acc.model_name.to_string(),
             board_name: acc.board.name.clone(),
-            ce_count: summary.ce_count,
-            total_macs: summary.total_macs,
-            latency_s: summary.latency_s,
-            throughput_fps: summary.throughput_fps,
-            buffer_req_bytes: summary.buffer_req_bytes,
-            buffer_alloc_bytes: summary.buffer_alloc_bytes,
-            offchip_bytes: summary.offchip_bytes,
-            offchip_weight_bytes: summary.offchip_weight_bytes,
-            offchip_fm_bytes: summary.offchip_fm_bytes,
-            memory_stall_fraction: summary.memory_stall_fraction,
             segments,
             ces,
             layers,
@@ -259,7 +249,7 @@ impl CostModel {
     /// per-segment/per-engine/per-layer report construction, reusing the
     /// caller's scratch buffers across calls.
     ///
-    /// Bit-identical to `evaluate(acc).summary()` — both lanes compose
+    /// Bit-identical to `evaluate(acc).summary` — both lanes compose
     /// through [`Self::recombine`] — but roughly an order of magnitude
     /// cheaper per design, which is what large sweeps pay per candidate.
     pub fn evaluate_summary(acc: &BuiltAccelerator, scratch: &mut EvalScratch) -> EvalSummary {
@@ -267,7 +257,7 @@ impl CostModel {
     }
 
     /// [`Self::evaluate_summary`] under a non-default configuration;
-    /// bit-identical to `evaluate_with(acc, config).summary()`.
+    /// bit-identical to `evaluate_with(acc, config).summary`.
     ///
     /// The fast lane is an explicit decomposition: each segment's
     /// [`SegmentCost`] is computed by the shared block-model cores, then
@@ -608,7 +598,7 @@ mod tests {
     #[test]
     fn fast_lane_matches_rich_lane_exactly() {
         // The core equivalence invariant: evaluate_summary must be
-        // bit-identical to evaluate().summary() with one scratch reused
+        // bit-identical to evaluate().summary with one scratch reused
         // across every design (warm-buffer path included).
         let mut scratch = EvalScratch::new();
         for m in [zoo::resnet50(), zoo::mobilenet_v2(), zoo::xception()] {
@@ -617,7 +607,7 @@ mod tests {
             for arch in templates::Architecture::ALL {
                 for k in [2usize, 5, 11] {
                     let acc = builder.build(&arch.instantiate(&m, k).unwrap()).unwrap();
-                    let rich = CostModel::evaluate(&acc).summary();
+                    let rich = CostModel::evaluate(&acc).summary;
                     let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                     assert_eq!(fast, rich, "{} {arch} {k}", m.name());
                 }
@@ -638,7 +628,7 @@ mod tests {
         ] {
             for arch in templates::Architecture::ALL {
                 let acc = builder.build(&arch.instantiate(&m, 5).unwrap()).unwrap();
-                let rich = CostModel::evaluate_with(&acc, &config).summary();
+                let rich = CostModel::evaluate_with(&acc, &config).summary;
                 let fast = CostModel::evaluate_summary_with(&acc, &config, &mut scratch);
                 assert_eq!(fast, rich, "{arch} {config:?}");
             }

@@ -9,6 +9,7 @@
 //! and they participate in genuinely mixed floating-point expressions.
 
 use std::fmt;
+use std::ops::Deref;
 
 use crate::quantity::{Bytes, Cycles, Macs, Pes, Throughput};
 
@@ -146,14 +147,39 @@ pub struct CeReport {
 
 /// Complete evaluation of one accelerator design: the four paper metrics
 /// plus fine-grained breakdowns.
+///
+/// The scalar metrics live in the embedded [`EvalSummary`] — the same
+/// record the fast lane returns — and [`Deref`] exposes its fields and
+/// methods directly (`eval.latency_s`, `eval.latency_ms()`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
-    /// Accelerator notation (`{L1-L4: CE1, …}`).
-    pub notation: String,
+    /// The scalar end-to-end metrics, exactly as
+    /// `CostModel::recombine` composed them.
+    pub summary: EvalSummary,
     /// CNN name.
     pub model_name: String,
     /// Board name.
     pub board_name: String,
+    /// Per-segment breakdown.
+    pub segments: Vec<SegmentReport>,
+    /// Per-engine breakdown.
+    pub ces: Vec<CeReport>,
+    /// Per-layer breakdown.
+    pub layers: Vec<LayerReport>,
+}
+
+/// A design's notation plus its scalar end-to-end metrics, without the
+/// per-segment / per-engine / per-layer breakdown vectors: the fast
+/// lane's output, and the `summary` field of the rich lane's
+/// [`Evaluation`].
+///
+/// Big design-space sweeps accumulate one record per evaluated design;
+/// carrying full [`Evaluation`]s means cloning (and keeping alive) three
+/// heap vectors per design. A 100k-design sweep only needs the scalars.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalSummary {
+    /// Accelerator notation (`{L1-L4: CE1, …}`) identifying the design.
+    pub notation: String,
     /// Number of CEs.
     pub ce_count: usize,
     /// Total convolution MACs of the CNN per inference — the compute-side
@@ -179,48 +205,6 @@ pub struct Evaluation {
     /// Fraction of end-to-end time the engines stall on memory (§V-D's
     /// "29% of the overall execution time, CEs are idle").
     pub memory_stall_fraction: f64,
-    /// Per-segment breakdown.
-    pub segments: Vec<SegmentReport>,
-    /// Per-engine breakdown.
-    pub ces: Vec<CeReport>,
-    /// Per-layer breakdown.
-    pub layers: Vec<LayerReport>,
-}
-
-/// A lean, metrics-only view of an [`Evaluation`]: the design's notation
-/// plus the scalar end-to-end metrics, without the per-segment /
-/// per-engine / per-layer breakdown vectors.
-///
-/// Big design-space sweeps accumulate one record per evaluated design;
-/// carrying full [`Evaluation`]s means cloning (and keeping alive) three
-/// heap vectors per design. A 100k-design sweep only needs the scalars,
-/// so workers convert each evaluation with [`Evaluation::summary`] and
-/// drop the heavy breakdowns immediately.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalSummary {
-    /// Accelerator notation (`{L1-L4: CE1, …}`) identifying the design.
-    pub notation: String,
-    /// Number of CEs.
-    pub ce_count: usize,
-    /// Total convolution MACs of the CNN per inference (energy-model
-    /// input, see [`Evaluation::total_macs`]).
-    pub total_macs: Macs,
-    /// End-to-end single-input latency in seconds.
-    pub latency_s: f64,
-    /// Steady-state throughput in frames per second.
-    pub throughput_fps: f64,
-    /// On-chip buffer requirement (Eqs. 4/5/8).
-    pub buffer_req_bytes: Bytes,
-    /// On-chip bytes actually granted by the builder's plan (≤ BRAM).
-    pub buffer_alloc_bytes: Bytes,
-    /// Off-chip traffic per inference.
-    pub offchip_bytes: Bytes,
-    /// Weight portion of `offchip_bytes`.
-    pub offchip_weight_bytes: Bytes,
-    /// Feature-map portion of `offchip_bytes`.
-    pub offchip_fm_bytes: Bytes,
-    /// Fraction of end-to-end time the engines stall on memory.
-    pub memory_stall_fraction: f64,
 }
 
 impl EvalSummary {
@@ -232,61 +216,6 @@ impl EvalSummary {
     /// Steady-state throughput as a typed rate.
     pub fn throughput(&self) -> Throughput {
         Throughput::new(self.throughput_fps)
-    }
-
-    /// Off-chip traffic in MiB.
-    pub fn offchip_mib(&self) -> f64 {
-        self.offchip_bytes.mib()
-    }
-
-    /// Buffer requirement in MiB.
-    pub fn buffer_mib(&self) -> f64 {
-        self.buffer_req_bytes.mib()
-    }
-}
-
-impl fmt::Display for EvalSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{} CEs]: latency {:.2} ms, {:.1} FPS, buffers {:.2} MiB, off-chip {:.1} MiB",
-            self.notation,
-            self.ce_count,
-            self.latency_ms(),
-            self.throughput_fps,
-            self.buffer_mib(),
-            self.offchip_mib()
-        )
-    }
-}
-
-impl Evaluation {
-    /// Latency in milliseconds.
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_s * 1e3
-    }
-
-    /// Steady-state throughput as a typed rate.
-    pub fn throughput(&self) -> Throughput {
-        Throughput::new(self.throughput_fps)
-    }
-
-    /// The metrics-only view of this evaluation (drops the per-segment /
-    /// per-engine / per-layer breakdowns).
-    pub fn summary(&self) -> EvalSummary {
-        EvalSummary {
-            notation: self.notation.clone(),
-            ce_count: self.ce_count,
-            total_macs: self.total_macs,
-            latency_s: self.latency_s,
-            throughput_fps: self.throughput_fps,
-            buffer_req_bytes: self.buffer_req_bytes,
-            buffer_alloc_bytes: self.buffer_alloc_bytes,
-            offchip_bytes: self.offchip_bytes,
-            offchip_weight_bytes: self.offchip_weight_bytes,
-            offchip_fm_bytes: self.offchip_fm_bytes,
-            memory_stall_fraction: self.memory_stall_fraction,
-        }
     }
 
     /// Off-chip traffic in MiB.
@@ -330,6 +259,37 @@ impl Evaluation {
     }
 }
 
+impl fmt::Display for EvalSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} [{} CEs]: latency {:.2} ms, {:.1} FPS, buffers {:.2} MiB, off-chip {:.1} MiB",
+            self.notation,
+            self.ce_count,
+            self.latency_ms(),
+            self.throughput_fps,
+            self.buffer_mib(),
+            self.offchip_mib()
+        )
+    }
+}
+
+impl Evaluation {
+    /// The metrics-only view of this evaluation: a clone of its `summary`
+    /// field.
+    pub fn summary(&self) -> EvalSummary {
+        self.summary.clone()
+    }
+}
+
+impl Deref for Evaluation {
+    type Target = EvalSummary;
+
+    fn deref(&self) -> &EvalSummary {
+        &self.summary
+    }
+}
+
 /// Batch sizes as `f64` — batch counts are small (≤ 2⁵³), so this is
 /// exact; centralized so the cast-lint allow has a single audited site.
 #[allow(clippy::cast_precision_loss)]
@@ -360,19 +320,21 @@ mod tests {
 
     fn eval_stub() -> Evaluation {
         Evaluation {
-            notation: "{L1-Last: CE1}".into(),
+            summary: EvalSummary {
+                notation: "{L1-Last: CE1}".into(),
+                ce_count: 1,
+                total_macs: Macs::new(1_000_000),
+                latency_s: 0.010,
+                throughput_fps: 100.0,
+                buffer_req_bytes: Bytes::new(2 * 1024 * 1024),
+                buffer_alloc_bytes: Bytes::new(1024 * 1024),
+                offchip_bytes: Bytes::new(100),
+                offchip_weight_bytes: Bytes::new(75),
+                offchip_fm_bytes: Bytes::new(25),
+                memory_stall_fraction: 0.1,
+            },
             model_name: "m".into(),
             board_name: "b".into(),
-            ce_count: 1,
-            total_macs: Macs::new(1_000_000),
-            latency_s: 0.010,
-            throughput_fps: 100.0,
-            buffer_req_bytes: Bytes::new(2 * 1024 * 1024),
-            buffer_alloc_bytes: Bytes::new(1024 * 1024),
-            offchip_bytes: Bytes::new(100),
-            offchip_weight_bytes: Bytes::new(75),
-            offchip_fm_bytes: Bytes::new(25),
-            memory_stall_fraction: 0.1,
             segments: vec![],
             ces: vec![],
             layers: vec![],

@@ -151,7 +151,7 @@ impl Explorer {
     /// Evaluates a sampled or enumerated custom design through the
     /// summary fast lane, with reused scratch buffers — `Ok(None)` when
     /// infeasible, `Err` on real faults. Produces exactly
-    /// `evaluate(&d.to_spec(..)?)?.summary()`.
+    /// `evaluate(&d.to_spec(..)?)?.summary`.
     pub(crate) fn custom_summary_cell(
         &self,
         design: &CustomDesign,
@@ -244,7 +244,7 @@ mod tests {
         assert_eq!(lean.len(), 25);
         for l in &lean {
             let full = e.evaluate(&l.design.to_spec(&m).unwrap()).unwrap();
-            assert_eq!(full.summary(), l.summary);
+            assert_eq!(full.summary, l.summary);
         }
     }
 
@@ -257,7 +257,7 @@ mod tests {
         let baselines = e.par_sweep_baselines(2..=11, 1).unwrap();
         let best_buffer = baselines
             .iter()
-            .map(|p| Metric::OnChipBuffers.value(&p.eval))
+            .map(|p| Metric::OnChipBuffers.value(&p.eval.summary))
             .fold(f64::INFINITY, f64::min);
         let (points, _) = e.par_sample_custom_summaries(120, 11, 1).unwrap();
         let best_custom = points

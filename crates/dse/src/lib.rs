@@ -18,7 +18,7 @@
 //! Sampled and enumerated custom designs (`par_sample_custom_summaries`,
 //! `par_evaluate_space`) run on one lane, the **summary fast lane**:
 //! per-worker `EvalScratch` buffers feed `CostModel::evaluate_summary`,
-//! whose output is bit-identical to `evaluate(...).summary()` but skips
+//! whose output is bit-identical to `evaluate(...).summary` but skips
 //! all report construction. A design that needs its per-segment /
 //! per-layer breakdown goes through [`Explorer::evaluate`] on its own.
 //!

@@ -227,17 +227,6 @@ pub struct GuidedFront {
     pub cache: CacheStats,
 }
 
-impl GuidedFront {
-    /// Best raw value of `metric` on the front (`None` for an empty
-    /// front).
-    pub fn best(&self, metric: Metric) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| metric.value(&p.summary))
-            .reduce(|a, b| if metric.better(b, a) { b } else { a })
-    }
-}
-
 /// One evaluated, feasible population member.
 #[derive(Debug, Clone)]
 struct Individual {
@@ -1346,7 +1335,9 @@ mod tests {
             .with_islands(2);
         let f = e.optimize_par(&cfg, 1).unwrap();
         // A single-objective front holds only exactly-tied best designs.
-        let guided_best = f.best(Metric::Throughput).unwrap();
+        let guided_best = Metric::Throughput
+            .best(f.points.iter().map(|p| p.summary.throughput_fps))
+            .unwrap();
         for p in &f.points {
             assert_eq!(p.summary.throughput_fps, guided_best);
         }

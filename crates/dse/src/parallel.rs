@@ -500,7 +500,7 @@ mod tests {
         // And the rich evaluations of the same designs give the same front.
         let evals: Vec<_> = points
             .iter()
-            .map(|p| e.evaluate(&p.design.to_spec(&m).unwrap()).unwrap())
+            .map(|p| e.evaluate(&p.design.to_spec(&m).unwrap()).unwrap().summary)
             .collect();
         assert_eq!(par_pareto_indices(&evals, &metrics, 1), serial);
     }

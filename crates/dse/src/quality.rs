@@ -138,12 +138,7 @@ pub struct FrontComparison {
 /// If both fronts are empty or `metrics` is empty.
 pub fn compare_fronts<S: MetricSource>(a: &[S], b: &[S], metrics: &[Metric]) -> FrontComparison {
     let bounds = union_bounds(&[a, b], metrics);
-    let best = |set: &[S], m: Metric| {
-        set.iter()
-            .map(|p| m.value(p))
-            .reduce(|x, y| if m.better(y, x) { y } else { x })
-            .unwrap_or(f64::NAN)
-    };
+    let best = |set: &[S], m: Metric| m.best(set.iter().map(|p| m.value(p))).unwrap_or(f64::NAN);
     let best_a: Vec<f64> = metrics.iter().map(|&m| best(a, m)).collect();
     let best_b: Vec<f64> = metrics.iter().map(|&m| best(b, m)).collect();
     // An empty front wins nothing (its bests are NaN, and NaN comparisons

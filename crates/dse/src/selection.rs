@@ -39,7 +39,7 @@ pub fn select_best(points: &[BaselinePoint], metric: Metric, tie_frac: f64) -> S
         let best = points
             .iter()
             .filter(|p| p.architecture == arch)
-            .map(|p| (p.ces, metric.value(&p.eval)))
+            .map(|p| (p.ces, metric.value(&p.eval.summary)))
             .reduce(|a, b| {
                 if metric.better(b.1, a.1) || (b.1 == a.1 && b.0 < a.0) {
                     b
@@ -51,12 +51,7 @@ pub fn select_best(points: &[BaselinePoint], metric: Metric, tie_frac: f64) -> S
             per_arch.push((arch, ces, value));
         }
     }
-    let overall =
-        per_arch
-            .iter()
-            .map(|&(_, _, v)| v)
-            .reduce(|a, b| if metric.better(b, a) { b } else { a });
-    let winners = match overall {
+    let winners = match metric.best(per_arch.iter().map(|&(_, _, v)| v)) {
         None => Vec::new(),
         Some(best) => per_arch
             .into_iter()
@@ -105,11 +100,8 @@ mod tests {
         let points = sweep();
         for metric in Metric::ALL {
             let cell = select_best(&points, metric, PAPER_TIE_FRAC);
-            let best = cell
-                .winners
-                .iter()
-                .map(|&(_, _, v)| v)
-                .reduce(|a, b| if metric.better(b, a) { b } else { a })
+            let best = metric
+                .best(cell.winners.iter().map(|&(_, _, v)| v))
                 .unwrap();
             for &(_, _, v) in &cell.winners {
                 assert!(metric.within_tie(v, best, PAPER_TIE_FRAC));
@@ -141,7 +133,7 @@ mod tests {
         let mk = |ces: usize, latency: f64| {
             let mut p = base[0].clone();
             p.ces = ces;
-            p.eval.latency_s = latency;
+            p.eval.summary.latency_s = latency;
             p
         };
         let forward = vec![mk(7, 0.5), mk(3, 0.5), mk(5, 0.9)];

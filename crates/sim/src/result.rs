@@ -87,19 +87,21 @@ mod tests {
             images: 4,
         };
         let model = Evaluation {
-            notation: String::new(),
+            summary: mccm_core::EvalSummary {
+                notation: String::new(),
+                ce_count: 1,
+                total_macs: mccm_core::Macs::ZERO,
+                latency_s: 0.009,
+                throughput_fps: 105.0,
+                buffer_req_bytes: mccm_core::Bytes::new(2_000_000),
+                buffer_alloc_bytes: mccm_core::Bytes::new(1_000_000),
+                offchip_bytes: mccm_core::Bytes::new(1000),
+                offchip_weight_bytes: mccm_core::Bytes::new(800),
+                offchip_fm_bytes: mccm_core::Bytes::new(200),
+                memory_stall_fraction: 0.0,
+            },
             model_name: String::new(),
             board_name: String::new(),
-            ce_count: 1,
-            total_macs: mccm_core::Macs::ZERO,
-            latency_s: 0.009,
-            throughput_fps: 105.0,
-            buffer_req_bytes: mccm_core::Bytes::new(2_000_000),
-            buffer_alloc_bytes: mccm_core::Bytes::new(1_000_000),
-            offchip_bytes: mccm_core::Bytes::new(1000),
-            offchip_weight_bytes: mccm_core::Bytes::new(800),
-            offchip_fm_bytes: mccm_core::Bytes::new(200),
-            memory_stall_fraction: 0.0,
             segments: vec![],
             ces: vec![],
             layers: vec![],

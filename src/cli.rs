@@ -866,12 +866,7 @@ fn render_human(outcome: &Outcome, verbose: bool, out: &mut dyn Write) -> Result
             )?;
             emit(out, format_args!("\nbest per metric:\n"))?;
             for &m in &o.metrics {
-                let best =
-                    o.front
-                        .iter()
-                        .map(|s| m.value(s))
-                        .reduce(|a, b| if m.better(b, a) { b } else { a });
-                if let Some(v) = best {
+                if let Some(v) = m.best(o.front.iter().map(|s| m.value(s))) {
                     emit(out, format_args!("  {:<11} {v:.4e}\n", m.name()))?;
                 }
             }

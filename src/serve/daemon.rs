@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use crate::dse::{CacheStats, CancelToken};
 use crate::error::{panic_text, Error};
 use crate::json::Json;
-use crate::scenario::Scenario;
+use crate::scenario::{Action, Scenario};
 use crate::session::{Outcome, Session};
 
 use super::fault::{FaultPlan, FaultSite, FaultyReader};
@@ -393,6 +393,13 @@ fn execute(
         session.evict_all();
     }
     let scenario = Scenario::from_json(&job.run)?;
+    // A client must not make the daemon read or write a file it names.
+    if let Action::Calibrate { store: Some(_), .. } = scenario.action {
+        return Err(Error::scenario(
+            "action.calibrate.store",
+            "calibration stores are local-only; `mccm serve` never reads or writes one",
+        ));
+    }
     faults.maybe_stall(shared.config.stall_ms);
     let (outcome, degraded) = session.run_cancellable(&scenario, &job.cancel)?;
     let counters = match &outcome {

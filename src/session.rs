@@ -813,12 +813,7 @@ fn optimize_json(o: &OptimizeOutcome) -> Json {
     root.push("metrics", metric_list(&o.metrics));
     let mut best = Json::object();
     for &m in &o.metrics {
-        let value = o
-            .front
-            .iter()
-            .map(|s| m.value(s))
-            .reduce(|a, b| if m.better(b, a) { b } else { a });
-        if let Some(v) = value {
+        if let Some(v) = m.best(o.front.iter().map(|s| m.value(s))) {
             best.push(&m.name().to_ascii_lowercase(), v);
         }
     }
@@ -1164,7 +1159,7 @@ mod tests {
             "{}",
             same.eval.notation
         );
-        same.eval.notation = lbl.eval.notation.clone();
+        same.eval.summary.notation = lbl.eval.notation.clone();
         assert_eq!(same.eval, lbl.eval);
         // A per-CE override beats the design-wide default on its CE.
         let mut per_ce = fused.clone();

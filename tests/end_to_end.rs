@@ -150,7 +150,7 @@ fn metrics_trade_off_across_architectures() {
         Metric::OnChipBuffers,
         Metric::OffChipAccesses,
     ] {
-        let vals: Vec<f64> = evals.iter().map(|e| metric.value(e)).collect();
+        let vals: Vec<f64> = evals.iter().map(|e| metric.value(&e.summary)).collect();
         assert!(metric.best_index(&vals).is_some());
     }
     // At least two different architectures win at least one metric each.
@@ -161,7 +161,7 @@ fn metrics_trade_off_across_architectures() {
     ]
     .iter()
     .map(|m| {
-        let vals: Vec<f64> = evals.iter().map(|e| m.value(e)).collect();
+        let vals: Vec<f64> = evals.iter().map(|e| m.value(&e.summary)).collect();
         m.best_index(&vals).unwrap()
     })
     .collect();

@@ -1,5 +1,5 @@
 //! Fast-lane equivalence: `CostModel::evaluate_summary` must be
-//! **bit-identical** to `CostModel::evaluate(..).summary()` for every
+//! **bit-identical** to `CostModel::evaluate(..).summary` for every
 //! design — the invariant that lets the DSE sweeps run on the
 //! allocation-free summary lane while keeping every determinism and
 //! worker-invariance guarantee of the rich lane.
@@ -51,7 +51,7 @@ fn summary_lane_matches_rich_lane_across_the_zoo() {
                     let Ok(acc) = builder.build(&spec) else {
                         continue;
                     };
-                    let rich = CostModel::evaluate(&acc).summary();
+                    let rich = CostModel::evaluate(&acc).summary;
                     let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                     assert_eq!(fast, rich, "{ctx}");
                 }
@@ -77,7 +77,7 @@ fn summary_lane_matches_rich_lane_on_seeded_custom_batches() {
             let Ok(acc) = builder.build(&spec) else {
                 continue;
             };
-            let rich = CostModel::evaluate(&acc).summary();
+            let rich = CostModel::evaluate(&acc).summary;
             let fast = CostModel::evaluate_summary(&acc, &mut scratch);
             assert_eq!(fast, rich, "{} {design:?}", model.name());
         }
@@ -105,7 +105,7 @@ fn typed_fields_are_bit_identical_across_lanes() {
                 let Ok(acc) = builder.build(&spec) else {
                     continue;
                 };
-                let rich = CostModel::evaluate(&acc).summary();
+                let rich = CostModel::evaluate(&acc).summary;
                 let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                 // Typed counting quantities: exact integer equality.
                 assert_eq!(fast.total_macs.get(), rich.total_macs.get(), "{ctx}");
@@ -215,8 +215,8 @@ fn degenerate_depth_first_is_bit_identical_to_layer_by_layer() {
                     let (Ok(lbl), Ok(df)) = (builder.build(&spec), builder.build(&df1)) else {
                         continue;
                     };
-                    let rich_lbl = CostModel::evaluate(&lbl).summary();
-                    let rich_df = CostModel::evaluate(&df).summary();
+                    let rich_lbl = CostModel::evaluate(&lbl).summary;
+                    let rich_df = CostModel::evaluate(&df).summary;
                     assert_numerically_bit_identical(&rich_df, &rich_lbl, &ctx);
                     let fast_df = CostModel::evaluate_summary(&df, &mut scratch);
                     assert_eq!(fast_df, rich_df, "{ctx}");
@@ -249,7 +249,7 @@ fn depth_first_designs_evaluate_identically_on_both_lanes() {
                     let Ok(acc) = builder.build(&df) else {
                         continue;
                     };
-                    let rich = CostModel::evaluate(&acc).summary();
+                    let rich = CostModel::evaluate(&acc).summary;
                     let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                     assert_eq!(fast, rich, "{ctx}");
                 }
@@ -360,19 +360,22 @@ impl Fnv {
 
     fn evaluation(&mut self, e: &Evaluation) {
         let Evaluation {
-            notation,
+            summary:
+                EvalSummary {
+                    notation,
+                    ce_count,
+                    total_macs,
+                    latency_s,
+                    throughput_fps,
+                    buffer_req_bytes,
+                    buffer_alloc_bytes,
+                    offchip_bytes,
+                    offchip_weight_bytes,
+                    offchip_fm_bytes,
+                    memory_stall_fraction,
+                },
             model_name,
             board_name,
-            ce_count,
-            total_macs,
-            latency_s,
-            throughput_fps,
-            buffer_req_bytes,
-            buffer_alloc_bytes,
-            offchip_bytes,
-            offchip_weight_bytes,
-            offchip_fm_bytes,
-            memory_stall_fraction,
             segments,
             ces,
             layers,
@@ -571,7 +574,7 @@ fn summary_sweep_equals_full_sweep_summaries() {
         let full = explorer
             .evaluate(&l.design.to_spec(&model).unwrap())
             .unwrap();
-        assert_eq!(full.summary(), l.summary);
+        assert_eq!(full.summary, l.summary);
     }
     // And sharded runs agree for several worker counts.
     for workers in [2usize, 5] {
@@ -602,7 +605,7 @@ proptest! {
         let mut scratch = EvalScratch::new();
         if let Ok(spec) = design.to_spec(&model) {
             if let Ok(acc) = builder.build(&spec) {
-                let rich = CostModel::evaluate(&acc).summary();
+                let rich = CostModel::evaluate(&acc).summary;
                 let fast = CostModel::evaluate_summary(&acc, &mut scratch);
                 prop_assert_eq!(fast, rich);
             }

@@ -67,10 +67,10 @@ fn guided_front_designs_rebuild_to_their_reported_metrics() {
     for p in &front.points {
         let spec = p.design.to_spec(&model).unwrap();
         let rich = CostModel::evaluate(&builder.build(&spec).unwrap());
-        assert_eq!(rich.summary(), p.summary, "{}", p.summary.notation);
+        assert_eq!(rich.summary, p.summary, "{}", p.summary.notation);
         for m in Metric::WITH_ENERGY {
             assert_eq!(
-                m.value(&rich).to_bits(),
+                m.value(&rich.summary).to_bits(),
                 m.value(&p.summary).to_bits(),
                 "{} on {}",
                 m.name(),
@@ -163,7 +163,7 @@ fn energy_fast_lane_matches_full_lane_on_the_zoo_templates_grid() {
                 );
                 // And the Metric::Energy read agrees across lanes too.
                 assert_eq!(
-                    Metric::Energy.value(&rich).to_bits(),
+                    Metric::Energy.value(&rich.summary).to_bits(),
                     Metric::Energy.value(&fast).to_bits(),
                     "{} {arch} {ces}",
                     model.name()
@@ -210,7 +210,7 @@ fn schedule_axis_front_cuts_offchip_traffic_below_layer_by_layer() {
         let mut twin = p.design.clone();
         twin.schedule = Schedule::LayerByLayer;
         let spec = twin.to_spec(&model).unwrap();
-        let lbl = explorer.evaluate(&spec).unwrap().summary();
+        let lbl = explorer.evaluate(&spec).unwrap().summary;
         assert_eq!(lbl.ce_count, p.summary.ce_count, "{}", p.summary.notation);
         if p.summary.offchip_bytes.get() < lbl.offchip_bytes.get() {
             beats_own_twin = true;
@@ -251,7 +251,7 @@ fn energy_orders_designs_consistently_with_its_inputs() {
     let points = explorer.par_sweep_baselines(2..=6, 1).unwrap();
     for a in &points {
         for b in &points {
-            let (ea, eb) = (&a.eval, &b.eval);
+            let (ea, eb) = (&a.eval.summary, &b.eval.summary);
             if ea.offchip_bytes <= eb.offchip_bytes && ea.latency_s <= eb.latency_s {
                 assert!(
                     Metric::Energy.value(ea) <= Metric::Energy.value(eb),

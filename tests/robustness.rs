@@ -371,6 +371,54 @@ mod serve_suite {
     }
 
     #[test]
+    fn remote_calibrate_never_touches_a_client_named_store() {
+        let (addr, handle) = start_server(ServeConfig::default());
+        let path =
+            std::env::temp_dir().join(format!("mccm-serve-store-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let calibrate = |store: &str| {
+            Scenario::from_json_str(&format!(
+                r#"{{"model": {{"zoo": "mobilenetv2"}}, "board": {{"builtin": "zc706"}},
+                    "action": {{"calibrate": {{"budget": 60, "top_k": 2{store}}}}}}}"#
+            ))
+            .unwrap()
+        };
+        let with_store = calibrate(&format!(
+            r#", "store": {}"#,
+            Json::from(path.to_str().unwrap())
+        ));
+        let mut client = Client::connect(&addr).unwrap();
+        match client.run(&with_store, None) {
+            Err(Error::Remote {
+                kind,
+                exit_code,
+                detail,
+            }) => {
+                assert_eq!((kind.as_str(), exit_code), ("scenario", 3));
+                assert!(detail.contains("action.calibrate.store"), "{detail}");
+            }
+            other => panic!("expected a remote scenario error, got {other:?}"),
+        }
+        assert!(!path.exists(), "the daemon created {}", path.display());
+
+        // Without a store the same calibration still runs remotely.
+        let reply = client.run(&calibrate(""), None).unwrap();
+        assert!(!reply.degraded);
+        assert!(
+            reply.outcome.get("calibration").is_some(),
+            "{}",
+            reply.outcome
+        );
+        let response = client.shutdown().unwrap();
+        assert_balanced(&response);
+        assert_eq!(
+            (stat(&response, "completed"), stat(&response, "failed")),
+            (1, 1)
+        );
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn over_budget_requests_come_back_degraded_with_partial_results() {
         let (addr, handle) = start_server(ServeConfig::default());
         let scenario = Scenario::from_json_str(&optimize_scenario_json(2_000_000)).unwrap();

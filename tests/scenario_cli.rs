@@ -183,6 +183,41 @@ fn run_matches_legacy_subcommands_byte_for_byte() {
     }
 }
 
+/// The human (non-`--json`) text of each legacy subcommand, pinned byte
+/// for byte against the checked-in files under `tests/human/`.
+#[test]
+fn human_output_is_pinned_byte_for_byte() {
+    let cases = [
+        (
+            "evaluate.txt",
+            "evaluate --model resnet50 --board zc706 --arch hybrid --ces 4 --verbose --batch 4",
+        ),
+        (
+            "validate.txt",
+            "validate --model resnet50 --board zc706 --arch segmented --ces 4",
+        ),
+        (
+            "sweep.txt",
+            "sweep --model mobilenetv2 --board zc706 --min-ces 2 --max-ces 4 --workers 1",
+        ),
+        (
+            "explore.txt",
+            "explore --model mobilenetv2 --board zc706 --samples 50 --seed 1 --workers 1",
+        ),
+        (
+            "optimize.txt",
+            "optimize --model mobilenetv2 --board zc706 --budget 200 --population 12 \
+             --islands 2 --workers 1",
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/human");
+    for (file, command) in cases {
+        let args: Vec<&str> = command.split_whitespace().collect();
+        let expected = std::fs::read_to_string(dir.join(file)).unwrap();
+        assert_eq!(run_cli(&args).unwrap(), expected, "{file}");
+    }
+}
+
 #[test]
 fn set_overrides_change_the_executed_scenario() {
     let path = example_scenario("evaluate.json");
