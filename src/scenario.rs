@@ -61,7 +61,7 @@ impl ModelSpec {
     pub fn build(&self) -> Result<CnnModel, Error> {
         match self {
             Self::Zoo(name) => zoo::by_name(name)
-                .ok_or_else(|| unknown_name_error("model.zoo", name, zoo::names())),
+                .ok_or_else(|| Error::scenario("model.zoo", unknown_name(name, zoo::names()))),
             Self::Synthetic { seed, config } => {
                 Ok(crate::cnn::synthetic::random_cnn(*seed, config))
             }
@@ -102,8 +102,9 @@ impl BoardSpec {
     /// [`Error::Scenario`] for unknown builtin names.
     pub fn build(&self) -> Result<FpgaBoard, Error> {
         match self {
-            Self::Builtin(name) => FpgaBoard::by_name(name)
-                .ok_or_else(|| unknown_name_error("board.builtin", name, FpgaBoard::names())),
+            Self::Builtin(name) => FpgaBoard::by_name(name).ok_or_else(|| {
+                Error::scenario("board.builtin", unknown_name(name, FpgaBoard::names()))
+            }),
             Self::Custom(board) => Ok(board.clone()),
         }
     }
@@ -312,10 +313,9 @@ impl Scenario {
     ///
     /// As [`Self::from_json_str`], minus the syntax cases.
     pub fn from_json(root: &Json) -> Result<Self, Error> {
-        let obj = expect_object(root, "(root)")?;
-        check_keys(
-            obj,
-            "(root)",
+        let root = Fields::new(
+            root,
+            String::new(),
             &[
                 "model",
                 "board",
@@ -328,52 +328,49 @@ impl Scenario {
                 "action",
             ],
         )?;
-        let model = parse_model(require(root, "model", "(root)")?)?;
-        let board = parse_board(require(root, "board", "(root)")?)?;
-        let precision = match root.get("precision") {
+        let model = parse_model(&root.object("model", &["zoo", "synthetic"])?)?;
+        let board = parse_board(&root.object("board", &["builtin", "custom"])?)?;
+        let precision = match root.opt::<&str>("precision")? {
             None => Precision::default(),
-            Some(v) => {
-                let name = expect_str(v, "precision")?;
-                Precision::by_name(name)
-                    .ok_or_else(|| unknown_name_error("precision", name, Precision::names()))?
-            }
+            Some(name) => Precision::by_name(name)
+                .ok_or_else(|| root.err("precision", unknown_name(name, Precision::names())))?,
         };
-        let batch = opt_usize(root, "batch", 1)?;
+        let batch = root.or("batch", 1)?;
         if batch == 0 {
-            return Err(Error::scenario("batch", "must be at least 1"));
+            return Err(root.err("batch", "must be at least 1"));
         }
-        let seed = opt_u64(root, "seed", 1)?;
-        let workers = opt_usize(root, "workers", 0)?;
-        let schedule = match root.get("schedule") {
-            None => None,
-            Some(v) => Some(parse_schedule(v, "schedule")?),
-        };
-        let ces = match root.get("ces") {
-            None => Vec::new(),
-            Some(v) => parse_ce_overrides(v)?,
-        };
-        let action = parse_action(require(root, "action", "(root)")?)?;
+        let seed = root.or("seed", 1)?;
+        let workers = root.or("workers", 0)?;
+        let schedule = parse_schedule(&root)?;
+        let ces = root
+            .objects(
+                "ces",
+                "expected an array of per-CE override objects",
+                &["schedule"],
+            )?
+            .map(|ce| {
+                let schedule = parse_schedule(&ce?)?;
+                Ok(CeOverride { schedule })
+            })
+            .collect::<Result<Vec<_>, Error>>()?;
+        let action = parse_action(&root.object(
+            "action",
+            &["evaluate", "sweep", "sample", "optimize", "calibrate"],
+        )?)?;
         if !matches!(action, Action::Evaluate { .. }) {
             // Schedule overrides rewrite one concrete design; the search
             // actions carry the axis inside their own configuration
             // (`action.optimize.max_fuse_depth`) instead.
-            if schedule.is_some() {
-                return Err(Error::scenario(
-                    "schedule",
-                    format!(
-                        "only applies to the evaluate action, not `{}`",
-                        action.name()
-                    ),
-                ));
-            }
-            if !ces.is_empty() {
-                return Err(Error::scenario(
-                    "ces",
-                    format!(
-                        "only applies to the evaluate action, not `{}`",
-                        action.name()
-                    ),
-                ));
+            for (key, set) in [("schedule", schedule.is_some()), ("ces", !ces.is_empty())] {
+                if set {
+                    return Err(root.err(
+                        key,
+                        format!(
+                            "only applies to the evaluate action, not `{}`",
+                            action.name()
+                        ),
+                    ));
+                }
             }
         }
         Ok(Self {
@@ -645,35 +642,33 @@ pub(crate) fn set_path(root: &mut Json, path: &str, value: Json) -> Result<(), E
     Ok(())
 }
 
-/// Parses a schedule object: `{"mode": "layer_by_layer"}` or
-/// `{"mode": "depth_first", "fuse_depth": N}` (N ≥ 1; `fuse_depth: 1`
-/// is the degenerate depth-first schedule, equivalent to
-/// layer-by-layer).
-fn parse_schedule(v: &Json, path: &str) -> Result<Schedule, Error> {
-    let pairs = expect_object(v, path)?;
-    check_keys(pairs, path, &["mode", "fuse_depth"])?;
-    let mode_path = join_path(path, "mode");
-    let mode = expect_str(require(v, "mode", path)?, &mode_path)?;
-    let depth_path = join_path(path, "fuse_depth");
-    match mode {
+/// Parses the optional `schedule` object of `parent`:
+/// `{"mode": "layer_by_layer"}` or `{"mode": "depth_first", "fuse_depth":
+/// N}` (N ≥ 1; `fuse_depth: 1` is the degenerate depth-first schedule,
+/// equivalent to layer-by-layer).
+fn parse_schedule(parent: &Fields) -> Result<Option<Schedule>, Error> {
+    let Some(s) = parent.opt_object("schedule", &["mode", "fuse_depth"])? else {
+        return Ok(None);
+    };
+    match s.req("mode")? {
         "layer_by_layer" => {
-            if v.get("fuse_depth").is_some() {
-                return Err(Error::scenario(
-                    depth_path,
+            if s.get("fuse_depth").is_some() {
+                return Err(s.err(
+                    "fuse_depth",
                     "`fuse_depth` only applies to `depth_first` schedules",
                 ));
             }
-            Ok(Schedule::LayerByLayer)
+            Ok(Some(Schedule::LayerByLayer))
         }
         "depth_first" => {
-            let fuse_depth = field_usize(require(v, "fuse_depth", path)?, &depth_path)?;
+            let fuse_depth = s.req("fuse_depth")?;
             if fuse_depth == 0 {
-                return Err(Error::scenario(depth_path, "must be at least 1"));
+                return Err(s.err("fuse_depth", "must be at least 1"));
             }
-            Ok(Schedule::DepthFirst { fuse_depth })
+            Ok(Some(Schedule::DepthFirst { fuse_depth }))
         }
-        other => Err(Error::scenario(
-            mode_path,
+        other => Err(s.err(
+            "mode",
             format!("unknown schedule mode `{other}` (valid: layer_by_layer, depth_first)"),
         )),
     }
@@ -692,24 +687,6 @@ fn schedule_json(schedule: Schedule) -> Json {
     obj
 }
 
-fn parse_ce_overrides(v: &Json) -> Result<Vec<CeOverride>, Error> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| Error::scenario("ces", "expected an array of per-CE override objects"))?;
-    let mut out = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let path = format!("ces.{i}");
-        let pairs = expect_object(item, &path)?;
-        check_keys(pairs, &path, &["schedule"])?;
-        let schedule = match item.get("schedule") {
-            None => None,
-            Some(s) => Some(parse_schedule(s, &join_path(&path, "schedule"))?),
-        };
-        out.push(CeOverride { schedule });
-    }
-    Ok(out)
-}
-
 /// A metric list as the lower-case names scenario and outcome JSON use.
 pub(crate) fn metric_list(metrics: &[Metric]) -> Json {
     Json::Array(
@@ -720,101 +697,191 @@ pub(crate) fn metric_list(metrics: &[Metric]) -> Json {
     )
 }
 
-fn unknown_name_error(field: &str, name: &str, valid: &[&str]) -> Error {
-    Error::scenario(
-        field,
-        format!("unknown name `{name}` (valid: {})", valid.join(", ")),
-    )
+fn unknown_name(name: &str, valid: &[&str]) -> String {
+    format!("unknown name `{name}` (valid: {})", valid.join(", "))
 }
 
-fn expect_object<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], Error> {
-    v.entries()
-        .ok_or_else(|| Error::scenario(path, "expected a JSON object"))
+/// One JSON object of a scenario document together with its dotted path
+/// (empty at the root). Every field of the parse half is read through
+/// one of these, so every type, missing-field, unknown-field and range
+/// error names the full path of the offending field.
+struct Fields<'a> {
+    entries: &'a [(String, Json)],
+    path: String,
 }
 
-fn expect_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, Error> {
-    v.as_str()
-        .ok_or_else(|| Error::scenario(path, "expected a string"))
-}
-
-fn require<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a Json, Error> {
-    v.get(key)
-        .ok_or_else(|| Error::scenario(join_path(path, key), "required field is missing"))
-}
-
-fn join_path(path: &str, key: &str) -> String {
-    if path == "(root)" {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
-fn check_keys(pairs: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(), Error> {
-    for (key, _) in pairs {
-        if !allowed.contains(&key.as_str()) {
-            return Err(Error::scenario(
-                join_path(path, key),
+impl<'a> Fields<'a> {
+    /// Reads `v` as the object at `path`, rejecting any key outside
+    /// `allowed`.
+    fn new(v: &'a Json, path: String, allowed: &[&str]) -> Result<Self, Error> {
+        let Some(entries) = v.entries() else {
+            return Err(Self { entries: &[], path }.err_here("expected a JSON object"));
+        };
+        let fields = Self { entries, path };
+        if let Some((key, _)) = entries.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(fields.err(
+                key,
                 format!("unknown field (expected one of: {})", allowed.join(", ")),
             ));
         }
+        Ok(fields)
     }
-    Ok(())
-}
 
-fn field_usize(v: &Json, path: &str) -> Result<usize, Error> {
-    v.as_usize()
-        .ok_or_else(|| Error::scenario(path, "expected a non-negative integer"))
-}
-
-fn field_u64(v: &Json, path: &str) -> Result<u64, Error> {
-    v.as_u64()
-        .ok_or_else(|| Error::scenario(path, "expected a non-negative integer"))
-}
-
-fn field_f64(v: &Json, path: &str) -> Result<f64, Error> {
-    v.as_f64()
-        .ok_or_else(|| Error::scenario(path, "expected a number"))
-}
-
-fn field_u32(v: &Json, path: &str) -> Result<u32, Error> {
-    let n = field_u64(v, path)?;
-    u32::try_from(n).map_err(|_| Error::scenario(path, "value does not fit in 32 bits"))
-}
-
-fn opt_usize(root: &Json, key: &str, default: usize) -> Result<usize, Error> {
-    match root.get(key) {
-        None => Ok(default),
-        Some(v) => field_usize(v, key),
-    }
-}
-
-fn opt_u64(root: &Json, key: &str, default: u64) -> Result<u64, Error> {
-    match root.get(key) {
-        None => Ok(default),
-        Some(v) => field_u64(v, key),
-    }
-}
-
-fn parse_model(v: &Json) -> Result<ModelSpec, Error> {
-    let obj = expect_object(v, "model")?;
-    check_keys(obj, "model", &["zoo", "synthetic"])?;
-    match (v.get("zoo"), v.get("synthetic")) {
-        (Some(name), None) => {
-            let name = expect_str(name, "model.zoo")?;
-            if zoo::by_name(name).is_none() {
-                return Err(unknown_name_error("model.zoo", name, zoo::names()));
-            }
-            // Canonicalize abbreviations so equal models share cache keys.
-            let canonical = zoo::by_name(name).expect("checked").name().to_string();
-            Ok(ModelSpec::Zoo(canonical))
+    fn child(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
         }
-        (None, Some(synth)) => {
-            let path = "model.synthetic";
-            let pairs = expect_object(synth, path)?;
-            check_keys(
-                pairs,
-                path,
+    }
+
+    /// An error about the field at `key`.
+    fn err(&self, key: &str, detail: impl Into<String>) -> Error {
+        Error::scenario(self.child(key), detail)
+    }
+
+    /// An error about this object as a whole.
+    fn err_here(&self, detail: impl Into<String>) -> Error {
+        let path = if self.path.is_empty() {
+            "(root)"
+        } else {
+            &self.path
+        };
+        Error::scenario(path, detail)
+    }
+
+    fn get(&self, key: &str) -> Option<&'a Json> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The field at `key` as a `T`; `None` when absent.
+    fn opt<T: Field<'a>>(&self, key: &str) -> Result<Option<T>, Error> {
+        self.get(key)
+            .map(|v| T::read(v).map_err(|detail| self.err(key, detail)))
+            .transpose()
+    }
+
+    /// The field at `key` as a `T`, which must be present.
+    fn req<T: Field<'a>>(&self, key: &str) -> Result<T, Error> {
+        self.opt(key)?
+            .ok_or_else(|| self.err(key, "required field is missing"))
+    }
+
+    /// The field at `key` as a `T`; `default` when absent.
+    fn or<T: Field<'a>>(&self, key: &str, default: T) -> Result<T, Error> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// The nested object at `key` (keys limited to `allowed`); `None`
+    /// when absent.
+    fn opt_object(&self, key: &str, allowed: &[&str]) -> Result<Option<Fields<'a>>, Error> {
+        self.get(key)
+            .map(|v| Fields::new(v, self.child(key), allowed))
+            .transpose()
+    }
+
+    /// The nested object at `key`, which must be present.
+    fn object(&self, key: &str, allowed: &[&str]) -> Result<Fields<'a>, Error> {
+        self.opt_object(key, allowed)?
+            .ok_or_else(|| self.err(key, "required field is missing"))
+    }
+
+    /// The objects of the array at `key` (none when absent), read in
+    /// order at paths `key.0`, `key.1`, …; `expected` describes the
+    /// array when the field is something else.
+    fn objects<'s>(
+        &'s self,
+        key: &str,
+        expected: &str,
+        allowed: &'s [&'s str],
+    ) -> Result<impl Iterator<Item = Result<Fields<'a>, Error>> + 's, Error> {
+        let items = match self.get(key) {
+            None => &[][..],
+            Some(v) => v.as_array().ok_or_else(|| self.err(key, expected))?,
+        };
+        let path = self.child(key);
+        Ok(items
+            .iter()
+            .enumerate()
+            .map(move |(i, item)| Fields::new(item, format!("{path}.{i}"), allowed)))
+    }
+}
+
+/// A leaf value [`Fields`] can read; `read` returns the error detail of
+/// a mistyped value.
+trait Field<'a>: Sized {
+    fn read(v: &'a Json) -> Result<Self, String>;
+}
+
+impl<'a> Field<'a> for &'a str {
+    fn read(v: &'a Json) -> Result<Self, String> {
+        v.as_str().ok_or_else(|| "expected a string".into())
+    }
+}
+
+impl Field<'_> for u64 {
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected a non-negative integer".into())
+    }
+}
+
+impl Field<'_> for usize {
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_usize()
+            .ok_or_else(|| "expected a non-negative integer".into())
+    }
+}
+
+impl Field<'_> for u32 {
+    fn read(v: &Json) -> Result<Self, String> {
+        u32::try_from(u64::read(v)?).map_err(|_| "value does not fit in 32 bits".into())
+    }
+}
+
+impl Field<'_> for f64 {
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".into())
+    }
+}
+
+/// A non-empty, duplicate-free list of metric names.
+impl Field<'_> for Vec<Metric> {
+    fn read(v: &Json) -> Result<Self, String> {
+        let items = v.as_array().ok_or("expected an array of metric names")?;
+        if items.is_empty() {
+            return Err("metric list must not be empty".into());
+        }
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            let name = <&str>::read(item)?;
+            let metric = Metric::by_name(name).ok_or_else(|| {
+                format!(
+                    "unknown metric `{name}` (valid: latency, throughput, access, buffers, \
+                     energy)"
+                )
+            })?;
+            if out.contains(&metric) {
+                return Err(format!("duplicate metric `{name}`"));
+            }
+            out.push(metric);
+        }
+        Ok(out)
+    }
+}
+
+fn parse_model(model: &Fields) -> Result<ModelSpec, Error> {
+    match (model.get("zoo"), model.get("synthetic")) {
+        (Some(_), None) => {
+            let name = model.req("zoo")?;
+            let cnn = zoo::by_name(name)
+                .ok_or_else(|| model.err("zoo", unknown_name(name, zoo::names())))?;
+            // Canonicalize abbreviations so equal models share cache keys.
+            Ok(ModelSpec::Zoo(cnn.name().to_string()))
+        }
+        (None, Some(_)) => {
+            let synth = model.object(
+                "synthetic",
                 &[
                     "seed",
                     "conv_layers",
@@ -825,256 +892,170 @@ fn parse_model(v: &Json) -> Result<ModelSpec, Error> {
                 ],
             )?;
             let defaults = SyntheticConfig::default();
-            let seed = opt_u64(synth, "seed", 1)?;
+            let seed = synth.or("seed", 1)?;
             let config = SyntheticConfig {
-                conv_layers: match synth.get("conv_layers") {
-                    None => defaults.conv_layers,
-                    Some(v) => field_usize(v, "model.synthetic.conv_layers")?,
-                },
-                input_size: match synth.get("input_size") {
-                    None => defaults.input_size,
-                    Some(v) => field_u32(v, "model.synthetic.input_size")?,
-                },
-                base_channels: match synth.get("base_channels") {
-                    None => defaults.base_channels,
-                    Some(v) => field_u32(v, "model.synthetic.base_channels")?,
-                },
-                residual_prob: match synth.get("residual_prob") {
-                    None => defaults.residual_prob,
-                    Some(v) => field_f64(v, "model.synthetic.residual_prob")?,
-                },
-                depthwise_prob: match synth.get("depthwise_prob") {
-                    None => defaults.depthwise_prob,
-                    Some(v) => field_f64(v, "model.synthetic.depthwise_prob")?,
-                },
+                conv_layers: synth.or("conv_layers", defaults.conv_layers)?,
+                input_size: synth.or("input_size", defaults.input_size)?,
+                base_channels: synth.or("base_channels", defaults.base_channels)?,
+                residual_prob: synth.or("residual_prob", defaults.residual_prob)?,
+                depthwise_prob: synth.or("depthwise_prob", defaults.depthwise_prob)?,
             };
             if config.conv_layers < 2 {
-                return Err(Error::scenario(
-                    "model.synthetic.conv_layers",
+                return Err(synth.err(
+                    "conv_layers",
                     "must be at least 2 (one head layer plus one tail layer)",
                 ));
             }
             if config.input_size < 4 {
-                return Err(Error::scenario(
-                    "model.synthetic.input_size",
-                    "must be at least 4",
-                ));
+                return Err(synth.err("input_size", "must be at least 4"));
             }
             if config.base_channels == 0 {
-                return Err(Error::scenario(
-                    "model.synthetic.base_channels",
-                    "must be positive",
-                ));
+                return Err(synth.err("base_channels", "must be positive"));
             }
-            for (field, p) in [
-                ("model.synthetic.residual_prob", config.residual_prob),
-                ("model.synthetic.depthwise_prob", config.depthwise_prob),
+            for (key, p) in [
+                ("residual_prob", config.residual_prob),
+                ("depthwise_prob", config.depthwise_prob),
             ] {
                 if !(0.0..=1.0).contains(&p) {
-                    return Err(Error::scenario(
-                        field,
-                        format!("must be in [0, 1], got {p}"),
-                    ));
+                    return Err(synth.err(key, format!("must be in [0, 1], got {p}")));
                 }
             }
             Ok(ModelSpec::Synthetic { seed, config })
         }
-        _ => Err(Error::scenario(
-            "model",
-            "expected exactly one of `zoo` or `synthetic`",
-        )),
+        _ => Err(model.err_here("expected exactly one of `zoo` or `synthetic`")),
     }
 }
 
-fn parse_board(v: &Json) -> Result<BoardSpec, Error> {
-    let obj = expect_object(v, "board")?;
-    check_keys(obj, "board", &["builtin", "custom"])?;
-    match (v.get("builtin"), v.get("custom")) {
-        (Some(name), None) => {
-            let name = expect_str(name, "board.builtin")?;
+fn parse_board(board: &Fields) -> Result<BoardSpec, Error> {
+    match (board.get("builtin"), board.get("custom")) {
+        (Some(_), None) => {
+            let name: &str = board.req("builtin")?;
             if FpgaBoard::by_name(name).is_none() {
-                return Err(unknown_name_error(
-                    "board.builtin",
-                    name,
-                    FpgaBoard::names(),
-                ));
+                return Err(board.err("builtin", unknown_name(name, FpgaBoard::names())));
             }
             Ok(BoardSpec::Builtin(name.to_ascii_lowercase()))
         }
-        (None, Some(custom)) => {
-            let path = "board.custom";
-            let pairs = expect_object(custom, path)?;
-            check_keys(
-                pairs,
-                path,
+        (None, Some(_)) => {
+            let custom = board.object(
+                "custom",
                 &["name", "dsps", "bram_mib", "bandwidth_gbps", "clock_mhz"],
             )?;
-            let name = expect_str(require(custom, "name", "board")?, "board.custom.name")?;
-            let dsps = field_u32(require(custom, "dsps", "board")?, "board.custom.dsps")?;
-            let bram_mib = field_f64(
-                require(custom, "bram_mib", "board")?,
-                "board.custom.bram_mib",
-            )?;
-            let bandwidth = field_f64(
-                require(custom, "bandwidth_gbps", "board")?,
-                "board.custom.bandwidth_gbps",
-            )?;
-            let clock = match custom.get("clock_mhz") {
-                None => FpgaBoard::DEFAULT_CLOCK_MHZ,
-                Some(v) => field_f64(v, "board.custom.clock_mhz")?,
-            };
+            let name: &str = custom.req("name")?;
+            let dsps: u32 = custom.req("dsps")?;
+            let bram_mib = custom.req("bram_mib")?;
+            let bandwidth = custom.req("bandwidth_gbps")?;
+            let clock = custom.or("clock_mhz", FpgaBoard::DEFAULT_CLOCK_MHZ)?;
             if dsps == 0 {
-                return Err(Error::scenario("board.custom.dsps", "must be positive"));
+                return Err(custom.err("dsps", "must be positive"));
             }
-            for (field, value) in [
-                ("board.custom.bram_mib", bram_mib),
-                ("board.custom.bandwidth_gbps", bandwidth),
-                ("board.custom.clock_mhz", clock),
+            for (key, value) in [
+                ("bram_mib", bram_mib),
+                ("bandwidth_gbps", bandwidth),
+                ("clock_mhz", clock),
             ] {
                 if !(value.is_finite() && value > 0.0) {
-                    return Err(Error::scenario(
-                        field,
-                        format!("must be positive, got {value}"),
-                    ));
+                    return Err(custom.err(key, format!("must be positive, got {value}")));
                 }
             }
             Ok(BoardSpec::Custom(
                 FpgaBoard::new(name, dsps, MiB(bram_mib), bandwidth).with_clock_mhz(clock),
             ))
         }
-        _ => Err(Error::scenario(
-            "board",
-            "expected exactly one of `builtin` or `custom`",
-        )),
+        _ => Err(board.err_here("expected exactly one of `builtin` or `custom`")),
     }
 }
 
-fn parse_metrics(v: Option<&Json>, path: &str, default: &[Metric]) -> Result<Vec<Metric>, Error> {
-    let Some(v) = v else {
-        return Ok(default.to_vec());
+/// Reads the search fields optimize and calibrate share (`metrics`,
+/// `budget`, `population`, `islands`), then the action's own fields
+/// through `rest`, and validates the result with the optimizer's own
+/// check, so scenario files and library callers reject exactly the same
+/// configs. `rest` runs before validation, so a mistyped field is
+/// reported ahead of an invalid combination.
+fn search_config<T>(
+    body: &Fields,
+    rest: impl FnOnce(&mut OptimizerConfig) -> Result<T, Error>,
+) -> Result<(OptimizerConfig, T), Error> {
+    let defaults = OptimizerConfig::default();
+    let mut config = OptimizerConfig {
+        metrics: body.or("metrics", defaults.metrics.clone())?,
+        budget: body.or("budget", defaults.budget)?,
+        population: body.or("population", defaults.population)?,
+        islands: body.or("islands", defaults.islands)?,
+        ..defaults
     };
-    let items = v
-        .as_array()
-        .ok_or_else(|| Error::scenario(path, "expected an array of metric names"))?;
-    if items.is_empty() {
-        return Err(Error::scenario(path, "metric list must not be empty"));
-    }
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let name = expect_str(item, path)?;
-        let metric = Metric::by_name(name).ok_or_else(|| {
-            Error::scenario(
-                path,
-                format!(
-                    "unknown metric `{name}` (valid: latency, throughput, access, buffers, \
-                     energy)"
-                ),
-            )
-        })?;
-        if out.contains(&metric) {
-            return Err(Error::scenario(path, format!("duplicate metric `{name}`")));
-        }
-        out.push(metric);
-    }
-    Ok(out)
+    let extra = rest(&mut config)?;
+    config
+        .validate()
+        .map_err(|e| body.err_here(e.to_string()))?;
+    Ok((config, extra))
 }
 
-fn parse_action(v: &Json) -> Result<Action, Error> {
-    let pairs = expect_object(v, "action")?;
-    check_keys(
-        pairs,
-        "action",
-        &["evaluate", "sweep", "sample", "optimize", "calibrate"],
-    )?;
-    if pairs.len() != 1 {
-        return Err(Error::scenario(
-            "action",
+fn parse_action(action: &Fields) -> Result<Action, Error> {
+    let [(kind, _)] = action.entries else {
+        return Err(action.err_here(
             "expected exactly one of `evaluate`, `sweep`, `sample`, `optimize`, `calibrate`",
         ));
-    }
-    let (kind, body) = &pairs[0];
+    };
     match kind.as_str() {
         "evaluate" => {
-            let path = "action.evaluate";
-            let obj = expect_object(body, path)?;
-            check_keys(obj, path, &["notation", "template", "ces"])?;
+            let body = action.object("evaluate", &["notation", "template", "ces"])?;
             match (body.get("notation"), body.get("template")) {
-                (Some(text), None) => {
+                (Some(_), None) => {
                     if body.get("ces").is_some() {
-                        return Err(Error::scenario(
-                            "action.evaluate.ces",
-                            "`ces` only applies to `template` designs",
-                        ));
+                        return Err(body.err("ces", "`ces` only applies to `template` designs"));
                     }
-                    let text = expect_str(text, "action.evaluate.notation")?;
+                    let text: &str = body.req("notation")?;
                     // Validate the notation eagerly: parse errors carry
                     // the byte offset into the notation string.
                     crate::arch::notation::parse(text)
-                        .map_err(|e| Error::scenario("action.evaluate.notation", e.to_string()))?;
+                        .map_err(|e| body.err("notation", e.to_string()))?;
                     Ok(Action::Evaluate {
                         design: DesignSpec::Notation(text.to_string()),
                     })
                 }
-                (None, Some(template)) => {
-                    let name = expect_str(template, "action.evaluate.template")?;
+                (None, Some(_)) => {
+                    let name = body.req("template")?;
                     let architecture = Architecture::by_name(name).ok_or_else(|| {
-                        unknown_name_error("action.evaluate.template", name, Architecture::names())
+                        body.err("template", unknown_name(name, Architecture::names()))
                     })?;
-                    let ces = field_usize(
-                        require(body, "ces", "action.evaluate")?,
-                        "action.evaluate.ces",
-                    )?;
+                    let ces = body.req("ces")?;
                     if ces == 0 {
-                        return Err(Error::scenario("action.evaluate.ces", "must be positive"));
+                        return Err(body.err("ces", "must be positive"));
                     }
                     Ok(Action::Evaluate {
                         design: DesignSpec::Template { architecture, ces },
                     })
                 }
-                _ => Err(Error::scenario(
-                    path,
-                    "expected exactly one of `notation` or `template`",
-                )),
+                _ => Err(body.err_here("expected exactly one of `notation` or `template`")),
             }
         }
         "sweep" => {
-            let path = "action.sweep";
-            let obj = expect_object(body, path)?;
-            check_keys(obj, path, &["min_ces", "max_ces"])?;
-            let min_ces = opt_usize(body, "min_ces", 2)?;
-            let max_ces = opt_usize(body, "max_ces", 11)?;
+            let body = action.object("sweep", &["min_ces", "max_ces"])?;
+            let min_ces = body.or("min_ces", 2)?;
+            let max_ces = body.or("max_ces", 11)?;
             if min_ces == 0 {
-                return Err(Error::scenario("action.sweep.min_ces", "must be positive"));
+                return Err(body.err("min_ces", "must be positive"));
             }
             if max_ces < min_ces {
-                return Err(Error::scenario(
-                    "action.sweep.max_ces",
+                return Err(body.err(
+                    "max_ces",
                     format!("must be at least min_ces ({min_ces}), got {max_ces}"),
                 ));
             }
             Ok(Action::Sweep { min_ces, max_ces })
         }
         "sample" => {
-            let path = "action.sample";
-            let obj = expect_object(body, path)?;
-            check_keys(obj, path, &["count", "metrics"])?;
-            let count = field_usize(require(body, "count", path)?, "action.sample.count")?;
+            let body = action.object("sample", &["count", "metrics"])?;
+            let count = body.req("count")?;
             if count == 0 {
-                return Err(Error::scenario("action.sample.count", "must be positive"));
+                return Err(body.err("count", "must be positive"));
             }
-            let metrics = parse_metrics(
-                body.get("metrics"),
-                "action.sample.metrics",
-                &SAMPLE_DEFAULT_METRICS,
-            )?;
+            let metrics = body.or("metrics", SAMPLE_DEFAULT_METRICS.to_vec())?;
             Ok(Action::Sample { count, metrics })
         }
         "optimize" => {
-            let path = "action.optimize";
-            let obj = expect_object(body, path)?;
-            check_keys(
-                obj,
-                path,
+            let body = action.object(
+                "optimize",
                 &[
                     "metrics",
                     "budget",
@@ -1086,50 +1067,27 @@ fn parse_action(v: &Json) -> Result<Action, Error> {
                     "max_fuse_depth",
                 ],
             )?;
-            let defaults = OptimizerConfig::default();
-            let metrics = parse_metrics(
-                body.get("metrics"),
-                "action.optimize.metrics",
-                &defaults.metrics,
-            )?;
-            let budget = opt_u64(body, "budget", defaults.budget)?;
-            let population = opt_usize(body, "population", defaults.population)?;
-            let islands = opt_usize(body, "islands", defaults.islands)?;
-            let migration_interval =
-                opt_usize(body, "migration_interval", defaults.migration_interval)?;
-            let migrants = opt_usize(body, "migrants", defaults.migrants)?;
-            let crossover_prob = match body.get("crossover_prob") {
-                None => defaults.crossover_prob,
-                Some(v) => field_f64(v, "action.optimize.crossover_prob")?,
-            };
-            let max_fuse_depth = opt_usize(body, "max_fuse_depth", defaults.max_fuse_depth)?;
-            // Reuse the optimizer's own validation so scenario files and
-            // library callers reject exactly the same configs.
-            OptimizerConfig::default()
-                .with_metrics(&metrics)
-                .with_population(population)
-                .with_islands(islands)
-                .with_crossover_prob(crossover_prob)
-                .with_max_fuse_depth(max_fuse_depth)
-                .validate()
-                .map_err(|e| Error::scenario(path, e.to_string()))?;
+            let (config, ()) = search_config(&body, |c| {
+                c.migration_interval = body.or("migration_interval", c.migration_interval)?;
+                c.migrants = body.or("migrants", c.migrants)?;
+                c.crossover_prob = body.or("crossover_prob", c.crossover_prob)?;
+                c.max_fuse_depth = body.or("max_fuse_depth", c.max_fuse_depth)?;
+                Ok(())
+            })?;
             Ok(Action::Optimize {
-                metrics,
-                budget,
-                population,
-                islands,
-                migration_interval,
-                migrants,
-                crossover_prob,
-                max_fuse_depth,
+                metrics: config.metrics,
+                budget: config.budget,
+                population: config.population,
+                islands: config.islands,
+                migration_interval: config.migration_interval,
+                migrants: config.migrants,
+                crossover_prob: config.crossover_prob,
+                max_fuse_depth: config.max_fuse_depth,
             })
         }
         "calibrate" => {
-            let path = "action.calibrate";
-            let obj = expect_object(body, path)?;
-            check_keys(
-                obj,
-                path,
+            let body = action.object(
+                "calibrate",
                 &[
                     "metrics",
                     "budget",
@@ -1139,52 +1097,27 @@ fn parse_action(v: &Json) -> Result<Action, Error> {
                     "store",
                 ],
             )?;
-            let defaults = OptimizerConfig::default();
-            let metrics = parse_metrics(
-                body.get("metrics"),
-                "action.calibrate.metrics",
-                &defaults.metrics,
-            )?;
-            let budget = opt_u64(body, "budget", defaults.budget)?;
-            let population = opt_usize(body, "population", defaults.population)?;
-            let islands = opt_usize(body, "islands", defaults.islands)?;
-            let top_k = opt_usize(body, "top_k", CALIBRATE_DEFAULT_TOP_K)?;
-            if top_k == 0 {
-                return Err(Error::scenario(
-                    "action.calibrate.top_k",
-                    "must be positive",
-                ));
-            }
-            let store = match body.get("store") {
-                None => None,
-                Some(v) => {
-                    let text = expect_str(v, "action.calibrate.store")?;
-                    if text.is_empty() {
-                        return Err(Error::scenario(
-                            "action.calibrate.store",
-                            "store path must not be empty",
-                        ));
-                    }
-                    Some(text.to_string())
+            let (config, (top_k, store)) = search_config(&body, |_| {
+                let top_k = body.or("top_k", CALIBRATE_DEFAULT_TOP_K)?;
+                if top_k == 0 {
+                    return Err(body.err("top_k", "must be positive"));
                 }
-            };
-            // The embedded search validates like an optimize action.
-            OptimizerConfig::default()
-                .with_metrics(&metrics)
-                .with_population(population)
-                .with_islands(islands)
-                .validate()
-                .map_err(|e| Error::scenario(path, e.to_string()))?;
+                let store: Option<&str> = body.opt("store")?;
+                if store == Some("") {
+                    return Err(body.err("store", "store path must not be empty"));
+                }
+                Ok((top_k, store.map(str::to_string)))
+            })?;
             Ok(Action::Calibrate {
-                metrics,
-                budget,
-                population,
-                islands,
+                metrics: config.metrics,
+                budget: config.budget,
+                population: config.population,
+                islands: config.islands,
                 top_k,
                 store,
             })
         }
-        _ => unreachable!("check_keys limits the key set"),
+        _ => unreachable!("the action reader limits the key set"),
     }
 }
 

@@ -16,6 +16,7 @@ use crate::json::Json;
 use crate::scenario::Scenario;
 
 use super::frame::{read_frame, write_frame};
+use super::splitmix;
 
 /// A successful `run` response.
 #[derive(Debug, Clone)]
@@ -70,13 +71,6 @@ impl RetryPolicy {
             .min(self.max_ms)
             .max(server_hint_ms)
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One framed connection to a daemon.

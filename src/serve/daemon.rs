@@ -503,11 +503,33 @@ fn dispatch(request: &Json, shared: &Arc<Shared>) -> Json {
         return Error::Protocol("request has none of `run`, `stats`, `shutdown`".to_string())
             .to_reply(id);
     };
-    handle_run(id, run, request, shared)
+    match run_envelope(request) {
+        Ok(deadline_ms) => handle_run(id, run, deadline_ms, shared),
+        Err(e) => e.to_reply(id),
+    }
+}
+
+/// Checks a `run` frame's envelope and returns its deadline: the only
+/// keys are `id`, `run` and `deadline_ms`, and `id`/`deadline_ms` are
+/// non-negative integers, so a mistyped deadline is refused rather than
+/// run with none at all.
+fn run_envelope(request: &Json) -> Result<Option<u64>, Error> {
+    for (key, value) in request.entries().unwrap_or_default() {
+        let detail = match key.as_str() {
+            "run" => continue,
+            "id" | "deadline_ms" if value.as_u64().is_some() => continue,
+            "id" | "deadline_ms" => {
+                format!("run request key `{key}` must be a non-negative integer")
+            }
+            _ => format!("unknown run request key `{key}` (expected one of: id, run, deadline_ms)"),
+        };
+        return Err(Error::Protocol(detail));
+    }
+    Ok(request.get("deadline_ms").and_then(Json::as_u64))
 }
 
 /// Admission control plus the round trip through a worker.
-fn handle_run(id: Option<u64>, run: &Json, request: &Json, shared: &Arc<Shared>) -> Json {
+fn handle_run(id: Option<u64>, run: &Json, deadline_ms: Option<u64>, shared: &Arc<Shared>) -> Json {
     shared.bump(|s| s.received += 1);
     if shared.draining.load(Ordering::Acquire) {
         shared.bump(|s| s.rejected_draining += 1);
@@ -534,7 +556,7 @@ fn handle_run(id: Option<u64>, run: &Json, request: &Json, shared: &Arc<Shared>)
         });
     }
     shared.queue_cond.notify_one();
-    if let Some(ms) = request.get("deadline_ms").and_then(Json::as_u64) {
+    if let Some(ms) = deadline_ms {
         shared.arm(Instant::now() + Duration::from_millis(ms), cancel);
     }
     match rx.recv() {

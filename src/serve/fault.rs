@@ -19,6 +19,8 @@ use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use super::splitmix;
+
 /// A named place where the plan may inject a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
@@ -169,13 +171,6 @@ impl FaultPlan {
             std::thread::sleep(std::time::Duration::from_millis(stall_ms));
         }
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A reader that delivers at most one byte per call while its plan

@@ -39,3 +39,12 @@ pub use client::{run_with_retry, Client, RetryPolicy, RunReply};
 pub use daemon::{ServeConfig, ServeStats, Server};
 pub use fault::{FaultPlan, FaultSite, FaultyReader};
 pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+
+/// The splitmix64 finalizer: the one seeded hash behind both the
+/// client's backoff jitter and the fault plan's firing schedule.
+pub(super) fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

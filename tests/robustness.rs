@@ -371,6 +371,57 @@ mod serve_suite {
     }
 
     #[test]
+    fn mistyped_run_envelopes_are_protocol_errors_and_stats_balance() {
+        let (addr, handle) = start_server(ServeConfig::default());
+        let run = Json::parse(&evaluate_scenario_json()).unwrap();
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        let cases = [
+            ("id", Json::from("7"), "protocol violation: run request key `id` must be a non-negative integer"),
+            (
+                "deadline_ms",
+                Json::from("50"),
+                "protocol violation: run request key `deadline_ms` must be a non-negative integer",
+            ),
+            (
+                "deadline",
+                Json::from(50u64),
+                "protocol violation: unknown run request key `deadline` (expected one of: id, run, deadline_ms)",
+            ),
+        ];
+        for (key, value, detail) in cases {
+            let mut request = Json::object();
+            request.push("run", run.clone());
+            request.push(key, value);
+            write_frame(&mut raw, &request).unwrap();
+            let reply = read_frame(&mut raw).unwrap().expect("a reply");
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+            let error = reply.get("error").expect("an error body");
+            assert_eq!(error.get("kind").and_then(Json::as_str), Some("protocol"));
+            assert_eq!(error.get("detail").and_then(Json::as_str), Some(detail));
+        }
+        // The same connection still serves a well-formed request.
+        let mut good = Json::object();
+        good.push("id", 1u64);
+        good.push("run", run);
+        good.push("deadline_ms", 60_000u64);
+        write_frame(&mut raw, &good).unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("a reply");
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
+        drop(raw);
+
+        // Rejected envelopes are never received, so they balance away.
+        let response = Client::connect(&addr).unwrap().shutdown().unwrap();
+        assert_balanced(&response);
+        assert_eq!(stat(&response, "received"), 1);
+        assert_eq!(stat(&response, "completed"), 1);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn remote_calibrate_never_touches_a_client_named_store() {
         let (addr, handle) = start_server(ServeConfig::default());
         let path =

@@ -209,6 +209,13 @@ fn human_output_is_pinned_byte_for_byte() {
             "optimize --model mobilenetv2 --board zc706 --budget 200 --population 12 \
              --islands 2 --workers 1",
         ),
+        (
+            "calibrate.txt",
+            "calibrate --model mobilenetv2 --board zc706 --budget 200 --population 12 \
+             --islands 2 --top-k 3 --workers 1",
+        ),
+        ("models.txt", "models"),
+        ("boards.txt", "boards"),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/human");
     for (file, command) in cases {
