@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices called out in DESIGN.md §2:
+//! Ablation studies of the design choices described in `docs/design.md`:
 //!
 //! 1. **Pipelined latency form** — asynchronous critical path (ours) vs a
 //!    literal lockstep stage sum for Eq. (2), validated against the
@@ -24,14 +24,14 @@ use crate::setups::mib;
 
 /// Runs all four ablations.
 pub fn run() -> Report {
-    let mut report = Report::new("ablation", "Design-choice ablations (DESIGN.md §2)");
+    let mut report = Report::new("ablation", "Design-choice ablations (docs/design.md)");
     report.tables.push(latency_mode_table());
     report.tables.push(bandwidth_derate_table());
     report.tables.push(pe_allocation_table());
     report.tables.push(row_parallelism_table());
     report.note(
         "Critical-path evaluation of Eq. (2) tracks the asynchronous reference far better than \
-         the lockstep stage sum on deep pipelined blocks — the basis for DESIGN.md §2's choice."
+         the lockstep stage sum on deep pipelined blocks — the basis for the default in docs/design.md."
             .to_string(),
     );
     report.note(

@@ -39,8 +39,8 @@ use mccm_arch::{ArchError, Schedule};
 use mccm_calib::{fit_corrections, metric_pairs, simulate, CalibStore, CALIBRATED_METRICS};
 use mccm_core::{CancelToken, CostModel, EvalScratch, EvalSummary, Metric};
 use mccm_dse::{
-    compare_fronts, sample_attempt, CustomSampler, CustomSpace, DeltaContext, Explorer,
-    FrontComparison, OptimizerConfig, ParetoFront, SegCache,
+    compare_fronts, sample_attempt, CustomSampler, CustomSpace, Explorer, FrontComparison,
+    OptimizerConfig, ParetoFront, SegCache,
 };
 use mccm_fpga::{FpgaBoard, MiB};
 use mccm_sim::SimConfig;
@@ -317,11 +317,10 @@ pub fn measure(budget: u64, seed: u64, workers: usize) -> GuidedQuality {
         CustomSampler::new(space, seed ^ 0xD17A).sample_many((budget as usize).clamp(200, 2_000));
     designs.sort_by_key(|d| (d.head_layers, d.tail_ends.clone()));
     designs.dedup();
-    let ctx = DeltaContext::new(&explorer);
-    let mut cache = SegCache::new();
+    let mut cache = SegCache::new(&explorer);
     for d in &designs {
         explorer
-            .custom_summary_delta(d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(d, &mut cache, &mut scratch)
             .expect("paper-space designs must not hit real builder faults");
     }
     let start = Instant::now();
@@ -340,7 +339,7 @@ pub fn measure(budget: u64, seed: u64, workers: usize) -> GuidedQuality {
     let mut warm_acc = 0u64;
     for d in &designs {
         let p = explorer
-            .custom_summary_delta(d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(d, &mut cache, &mut scratch)
             .expect("paper-space designs must not hit real builder faults")
             .expect("warmed designs are feasible by construction");
         warm_acc = warm_acc.wrapping_add(p.summary.total_macs.get());

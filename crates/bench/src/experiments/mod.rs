@@ -14,7 +14,7 @@
 //! | [`fig9`] | Fig. 9 — per-segment buffers and underutilization |
 //! | [`fig10`] | Fig. 10 — custom design-space exploration |
 //! | [`speed`] | §I/§V-E — evaluation-speed claims |
-//! | [`ablation`] | DESIGN.md §2 — design-choice ablations |
+//! | [`ablation`] | `docs/design.md` — design-choice ablations |
 //! | [`compression`] | §V-D follow-through — targeted weight compression |
 //! | [`guided`] | Guided-vs-random front quality at equal budget (beyond the paper) |
 

@@ -178,7 +178,7 @@ pub fn run() -> Report {
         "Overall average accuracy {overall:.1}% (paper: > 90% for all architectures)."
     ));
     report.note(
-        "Reference = event-driven tile-level simulator (DESIGN.md §3); the paper used Vitis HLS synthesis.".to_string(),
+        "Reference = event-driven tile-level simulator (docs/design.md); the paper used Vitis HLS synthesis.".to_string(),
     );
     report
 }

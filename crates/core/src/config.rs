@@ -37,7 +37,7 @@ impl Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineLatencyMode {
     /// Asynchronous critical path of the row-dependency graph (default;
-    /// matches FIFO-connected dataflow hardware — see DESIGN.md §2).
+    /// matches FIFO-connected dataflow hardware — see `docs/design.md`).
     #[default]
     CriticalPath,
     /// Literal lockstep stage sum: every stage waits for the slowest

@@ -7,8 +7,8 @@
 //! of the row-dependency graph instead of a lockstep stage sum: FIFO-
 //! connected engines do not barrier between tiles, so a layer's finish
 //! time is bounded by (a) its own start plus its paced busy time and
-//! (b) its producers' finish plus a trailing tile (see DESIGN.md §2 for
-//! the equivalence discussion). Per Eq. (7), weights of layers whose
+//! (b) its producers' finish plus a trailing tile (see "Design-choice
+//! ablations" in `docs/design.md` for the equivalence discussion). Per Eq. (7), weights of layers whose
 //! engine cannot hold them are re-streamed on every row tile; those
 //! transfer times pace the rows, and the shared DMA channel lower-bounds
 //! the round time by the total transferred bytes.

@@ -19,14 +19,6 @@ pub enum ExploreError {
         /// Sampling attempts spent.
         attempts: u64,
     },
-    /// An exhaustive evaluation was requested for a space with more
-    /// designs than the given limit (or more than `usize::MAX`).
-    SpaceTooLarge {
-        /// Exact space cardinality (saturating at `u128::MAX`).
-        size: u128,
-        /// The configured exhaustive-evaluation limit.
-        limit: u128,
-    },
     /// A design failed to build for a reason other than infeasibility —
     /// a real builder/spec bug that must not be masked as "infeasible".
     Arch(ArchError),
@@ -51,10 +43,6 @@ impl fmt::Display for ExploreError {
                 f,
                 "sampling exhausted {attempts} attempts with only {got}/{wanted} feasible \
                  designs found — the space looks (mostly) infeasible for this CNN/board pair"
-            ),
-            Self::SpaceTooLarge { size, limit } => write!(
-                f,
-                "space holds {size} designs, beyond the exhaustive-evaluation limit of {limit}"
             ),
             Self::Arch(e) => write!(f, "design evaluation failed: {e}"),
             Self::BadConfig { detail } => write!(f, "bad exploration config: {detail}"),

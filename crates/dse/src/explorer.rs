@@ -28,11 +28,11 @@ pub struct BaselinePoint {
 }
 
 /// A custom-space design with its lean evaluation summary — the record
-/// sampled and enumerated sweeps accumulate, so 100k-design runs never
+/// sampled sweeps and the optimizer accumulate, so 100k-design runs never
 /// build the heavy per-segment/per-engine/per-layer vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CustomPoint {
-    /// The sampled (or enumerated) design.
+    /// The sampled (or searched) design.
     pub design: CustomDesign,
     /// Its metrics-only evaluation.
     pub summary: EvalSummary,
@@ -148,7 +148,7 @@ impl Explorer {
         }
     }
 
-    /// Evaluates a sampled or enumerated custom design through the
+    /// Evaluates a sampled or searched custom design through the
     /// summary fast lane, with reused scratch buffers — `Ok(None)` when
     /// infeasible, `Err` on real faults. Produces exactly
     /// `evaluate(&d.to_spec(..)?)?.summary`.

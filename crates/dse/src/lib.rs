@@ -12,14 +12,15 @@
 //! `workers = 1` runs inline on the calling thread, `0` uses one thread
 //! per core, and every count returns bit-identical results (see
 //! [`crate::Explorer`] and the `parallel` module docs). The custom space
-//! supports full lexicographic enumeration with rank/unrank for
-//! contiguous sharding ([`CustomSpace::designs`], [`CustomSpace::shards`]).
+//! is walked two ways only, both seeded: random sampling
+//! ([`sample_attempt`]) and the guided optimizer
+//! ([`Explorer::optimize_par`]); [`CustomSpace::size`] reports how large
+//! it is (above 10^9 designs for Xception, far beyond exhaustive walks).
 //!
-//! Sampled and enumerated custom designs (`par_sample_custom_summaries`,
-//! `par_evaluate_space`) run on one lane, the **summary fast lane**:
-//! per-worker `EvalScratch` buffers feed `CostModel::evaluate_summary`,
-//! whose output is bit-identical to `evaluate(...).summary` but skips
-//! all report construction. A design that needs its per-segment /
+//! Sampled custom designs (`par_sample_custom_summaries`) run on one
+//! lane, the **summary fast lane**: per-worker `EvalScratch` buffers
+//! feed `CostModel::evaluate_summary`, whose output is bit-identical to
+//! `evaluate(...).summary` but skips all report construction. A design that needs its per-segment /
 //! per-layer breakdown goes through [`Explorer::evaluate`] on its own.
 //!
 //! ```
@@ -38,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-mod enumerate;
 mod error;
 mod explorer;
 mod optimizer;
@@ -50,19 +50,18 @@ mod segcache;
 mod selection;
 mod space;
 
-pub use enumerate::DesignIter;
 pub use error::ExploreError;
 pub use explorer::{default_max_attempts, BaselinePoint, CustomPoint, Explorer};
 /// Re-exported from `mccm-core` so existing `mccm_dse::CancelToken`
 /// call sites keep working (the simulator shares the same token type).
 pub use mccm_core::CancelToken;
 pub use optimizer::{GuidedFront, OptimizerConfig};
-pub use parallel::{par_pareto_indices, SampleRun, EXHAUSTIVE_LIMIT};
+pub use parallel::{max_workers, par_pareto_indices, SampleRun};
 pub use pareto::ParetoFront;
 pub use quality::{
     compare_fronts, coverage, hypervolume, union_bounds, FrontComparison, MetricBounds,
 };
 pub use sampler::{sample_attempt, CustomSampler};
-pub use segcache::{CacheStats, DeltaContext, SegCache};
+pub use segcache::{CacheStats, SegCache};
 pub use selection::{select_all_metrics, select_best, SelectionCell, PAPER_TIE_FRAC};
 pub use space::{binomial_checked, CustomDesign, CustomSpace};

@@ -47,7 +47,7 @@ use crate::error::ExploreError;
 use crate::explorer::{CustomPoint, Explorer};
 use crate::pareto::ParetoFront;
 use crate::sampler::{sample_attempt, stream_seed};
-use crate::segcache::{CacheStats, DeltaContext, DesignKey, DesignMemo, SegCache};
+use crate::segcache::{CacheStats, DesignKey, DesignMemo, SegCache};
 use crate::space::{CustomDesign, CustomSpace};
 use mccm_core::CancelToken;
 
@@ -303,11 +303,12 @@ struct Island {
     /// [`DesignKey`]s: `None` = infeasible. Bounded (insert-drop past the
     /// cap) — a dropped design simply costs budget again on a re-visit.
     memo: DesignMemo,
-    /// This island's segment-cost cache (the delta path's working set).
-    /// Cache state cannot change any evaluated value — cached and fresh
-    /// segment costs are bit-identical — so per-island caches preserve
-    /// worker invariance for free.
-    seg_cache: SegCache,
+    /// This island's segment-cost cache (the delta path's working set),
+    /// `None` when [`OptimizerConfig::delta_eval`] is off. Cache state
+    /// cannot change any evaluated value — cached and fresh segment costs
+    /// are bit-identical — so per-island caches preserve worker invariance
+    /// for free.
+    seg_cache: Option<SegCache>,
     budget: u64,
     evaluations: u64,
     feasible: u64,
@@ -315,7 +316,13 @@ struct Island {
 }
 
 impl Island {
-    fn new(seed: u64, index: u64, budget: u64, metrics: &[Metric]) -> Self {
+    fn new(
+        seed: u64,
+        index: u64,
+        budget: u64,
+        metrics: &[Metric],
+        seg_cache: Option<SegCache>,
+    ) -> Self {
         Self {
             rng: StdRng::seed_from_u64(stream_seed(seed, index.wrapping_mul(2) + 1)),
             sample_stream: stream_seed(seed, index.wrapping_mul(2)),
@@ -323,7 +330,7 @@ impl Island {
             population: Population::default(),
             archive: ParetoFront::new(metrics),
             memo: DesignMemo::default(),
-            seg_cache: SegCache::new(),
+            seg_cache,
             budget,
             evaluations: 0,
             feasible: 0,
@@ -332,15 +339,14 @@ impl Island {
     }
 
     /// Evaluates `design` through the fast lane, memoized — via the
-    /// segment-cost delta path when `delta` carries a context, else the
-    /// whole-design path. `Ok(None)` = infeasible (or out of budget for a
-    /// new design).
+    /// segment-cost delta path when the island holds a segment cache, else
+    /// the whole-design path. `Ok(None)` = infeasible (or out of budget
+    /// for a new design).
     fn try_evaluate(
         &mut self,
         explorer: &Explorer,
         scratch: &mut EvalScratch,
         metrics: &[Metric],
-        delta: Option<&DeltaContext>,
         design: &CustomDesign,
     ) -> Result<Option<Vec<f64>>, ArchError> {
         let key = DesignKey::of(design);
@@ -352,10 +358,8 @@ impl Island {
         }
         self.budget -= 1;
         self.evaluations += 1;
-        let outcome = match delta {
-            Some(ctx) => {
-                explorer.custom_summary_delta(design, ctx, &mut self.seg_cache, scratch)?
-            }
+        let outcome = match &mut self.seg_cache {
+            Some(cache) => explorer.custom_summary_delta(design, cache, scratch)?,
             None => explorer.custom_summary_cell(design, scratch)?,
         };
         let values = outcome.map(|point| {
@@ -377,7 +381,6 @@ impl Island {
         scratch: &mut EvalScratch,
         space: &CustomSpace,
         metrics: &[Metric],
-        delta: Option<&DeltaContext>,
         target: usize,
     ) -> Result<(), ArchError> {
         let attempt_cap = (target as u64).saturating_mul(64).max(1024);
@@ -385,7 +388,7 @@ impl Island {
         while members.len() < target && self.budget > 0 && self.next_attempt < attempt_cap {
             let design = sample_attempt(space, self.sample_stream, self.next_attempt);
             self.next_attempt += 1;
-            if let Some(values) = self.try_evaluate(explorer, scratch, metrics, delta, &design)? {
+            if let Some(values) = self.try_evaluate(explorer, scratch, metrics, &design)? {
                 members.push(Individual { design, values });
             }
         }
@@ -397,17 +400,12 @@ impl Island {
     /// One NSGA-II generation: tournament selection → crossover + mutation
     /// → environmental selection over parents ∪ offspring. The tournament
     /// reads the ranking the previous selection carried over.
-    // The per-epoch loop threads shared read-only search state plus the
-    // optional delta context; bundling them into a struct would outlive
-    // this one private call site.
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
         explorer: &Explorer,
         scratch: &mut EvalScratch,
         space: &CustomSpace,
         metrics: &[Metric],
-        delta: Option<&DeltaContext>,
         mu: usize,
         crossover_prob: f64,
     ) -> Result<(), ArchError> {
@@ -432,17 +430,8 @@ impl Island {
                 parents[p1].design.clone()
             };
             let child = space.mutate(&child, &mut self.rng);
-            // Safety net: today's operators always emit members (asserted
-            // in the space tests), so repair is an exact pass-through — it
-            // exists so a future off-space operator costs one repaired
-            // evaluation instead of a wasted budget draw. No RNG involved,
-            // so the trajectory stays worker-invariant either way.
-            let child = if space.contains(&child) {
-                child
-            } else {
-                space.repair(&child)
-            };
-            match self.try_evaluate(explorer, scratch, metrics, delta, &child)? {
+            debug_assert!(space.contains(&child), "operators emit members");
+            match self.try_evaluate(explorer, scratch, metrics, &child)? {
                 Some(values) => {
                     offspring.push(Individual {
                         design: child,
@@ -761,13 +750,10 @@ impl Explorer {
         let mut islands: Vec<Island> = (0..k)
             .map(|i| {
                 let budget = share + u64::from(i < extra);
-                Island::new(config.seed, i as u64, budget, &metrics)
+                let seg_cache = config.delta_eval.then(|| SegCache::new(self));
+                Island::new(config.seed, i as u64, budget, &metrics, seg_cache)
             })
             .collect();
-        // One delta context per run: sweep-invariant prefix sums and
-        // board terms, shared read-only across all islands and workers.
-        let delta_ctx = config.delta_eval.then(|| DeltaContext::new(self));
-        let delta = delta_ctx.as_ref();
 
         let epoch_generations = config.migration_interval.max(1);
         loop {
@@ -780,7 +766,6 @@ impl Explorer {
                 &space,
                 &metrics,
                 config,
-                delta,
                 epoch_generations,
                 workers,
                 cancel,
@@ -811,7 +796,9 @@ impl Explorer {
         for isl in islands {
             evaluations += isl.evaluations;
             feasible += isl.feasible;
-            cache.absorb(&isl.seg_cache.stats());
+            if let Some(seg_cache) = &isl.seg_cache {
+                cache.absorb(&seg_cache.stats());
+            }
             cache.absorb(&isl.memo.stats());
             merged.merge(isl.archive);
         }
@@ -853,7 +840,6 @@ impl Explorer {
         space: &CustomSpace,
         metrics: &[Metric],
         config: &OptimizerConfig,
-        delta: Option<&DeltaContext>,
         generations: usize,
         workers: usize,
         cancel: &CancelToken,
@@ -863,7 +849,7 @@ impl Explorer {
                 return Ok(isl);
             }
             if !isl.initialized {
-                isl.initialize(self, scratch, space, metrics, delta, config.population)?;
+                isl.initialize(self, scratch, space, metrics, config.population)?;
             }
             for _ in 0..generations {
                 if cancel.is_cancelled() {
@@ -874,7 +860,6 @@ impl Explorer {
                     scratch,
                     space,
                     metrics,
-                    delta,
                     config.population,
                     config.crossover_prob,
                 )?;
@@ -884,9 +869,9 @@ impl Explorer {
 
         let workers = crate::parallel::resolve_workers(workers).min(islands.len().max(1));
         let mut rest = islands.into_iter();
-        let chunks: Vec<Vec<Island>> = crate::enumerate::partition(rest.len() as u128, workers)
+        let chunks: Vec<Vec<Island>> = crate::parallel::chunk_bounds(rest.len(), workers)
             .into_iter()
-            .map(|(lo, hi)| rest.by_ref().take((hi - lo) as usize).collect())
+            .map(|(lo, hi)| rest.by_ref().take(hi - lo).collect())
             .collect();
         let mut out = Vec::new();
         for chunk in crate::parallel::run_chunks(chunks, |chunk| {
@@ -1300,10 +1285,10 @@ mod tests {
 
     #[test]
     fn every_budget_unit_lands_on_a_feasible_design_on_a_roomy_board() {
-        // Budget-accounting regression for the repair hook: the operators
-        // only emit space members, every member materializes, and on a
-        // board with DSPs ≥ max_ces every materialized design builds — so
-        // no evaluation attempt may be wasted on an infeasible design.
+        // Budget-accounting regression: the operators only emit space
+        // members, every member materializes, and on a board with DSPs ≥
+        // max_ces every materialized design builds — so no evaluation
+        // attempt may be wasted on an infeasible design.
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::vcu110());
         let f = e.optimize_par(&small_config(), 1).unwrap();

@@ -13,9 +13,8 @@
 //! * attempts are processed in contiguous batches, and the result is the
 //!   first `count` feasible designs *in attempt order* — overshoot from a
 //!   batch is discarded deterministically;
-//! * exhaustive sweeps shard the space by contiguous lexicographic rank
-//!   ranges ([`CustomSpace::shards`]) and concatenate shard results in
-//!   rank order.
+//! * grid sweeps and Pareto merges split their input into contiguous
+//!   chunks and concatenate (or merge) chunk results in input order.
 //!
 //! Worker threads accumulate lean [`CustomPoint`]s and local
 //! [`ParetoFront`]s; fronts are merged at the end ([`par_pareto_indices`])
@@ -30,11 +29,8 @@ use crate::error::ExploreError;
 use crate::explorer::{default_max_attempts, BaselinePoint, CustomPoint, Explorer};
 use crate::pareto::ParetoFront;
 use crate::sampler::{sample_attempt, CustomSampler};
-use crate::space::{CustomDesign, CustomSpace};
+use crate::space::CustomDesign;
 use mccm_core::CancelToken;
-
-/// Largest space [`Explorer::par_evaluate_space`] will walk exhaustively.
-pub const EXHAUSTIVE_LIMIT: u128 = 1 << 20;
 
 /// The outcome of evaluating one drawn design: `Ok(Some(_))` feasible,
 /// `Ok(None)` infeasible (skipped), `Err` a real fault.
@@ -45,29 +41,48 @@ type Cell = Result<Option<CustomPoint>, ArchError>;
 /// path), so the hook evaluates without steady-state allocation.
 type EvalFn<'a> = &'a (dyn Fn(&Explorer, &CustomDesign, &mut EvalScratch) -> Cell + Sync);
 
+/// The number of available cores (at least 1).
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(1)
+}
+
+/// The most worker threads any entry point starts: 4× the available
+/// cores. An absurd `--workers` value must not make thread spawning
+/// itself the failure mode.
+pub fn max_workers() -> usize {
+    available_cores().saturating_mul(4)
+}
+
 /// Resolves a worker-count knob: `0` means "one per available core".
 /// Results are worker-count invariant, so the knob is silently capped at
-/// 4× the available cores — an absurd `--workers` value must not make
-/// thread spawning itself the failure mode.
+/// [`max_workers`].
 pub(crate) fn resolve_workers(workers: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
     if workers == 0 {
-        cores
+        available_cores()
     } else {
-        workers.min(cores.saturating_mul(4)).max(1)
+        workers.min(max_workers()).max(1)
     }
 }
 
-/// Splits `len` items into at most `parts` contiguous near-equal chunks
-/// (the same partition [`CustomSpace::shards`] applies to rank ranges).
-fn chunk_bounds(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    let bound = |v: u128| usize::try_from(v).expect("partition bounds of a slice length fit usize");
-    crate::enumerate::partition(len as u128, parts)
-        .into_iter()
-        .map(|(a, b)| (bound(a), bound(b)))
-        .collect()
+/// Splits `[0, len)` into at most `parts` contiguous near-equal ranges
+/// (sizes differing by at most one); empty ranges are dropped, so fewer
+/// than `parts` ranges come back when `len < parts`.
+pub(crate) fn chunk_bounds(len: usize, parts: usize) -> Vec<(usize, usize)> {
+    let parts = parts.max(1);
+    let (chunk, extra) = (len / parts, len % parts);
+    let mut out = Vec::new();
+    let mut start = 0;
+    for i in 0..parts {
+        let size = chunk + usize::from(i < extra);
+        if size == 0 {
+            break;
+        }
+        out.push((start, start + size));
+        start += size;
+    }
+    out
 }
 
 /// Runs `job` once per chunk (an index range, a batch of owned items)
@@ -343,50 +358,6 @@ impl Explorer {
             elapsed: start.elapsed(),
         })
     }
-
-    /// Exhaustively evaluates every design of a (small) custom space,
-    /// sharded by contiguous lexicographic rank ranges across `workers`
-    /// threads (`0` = one per core). Infeasible designs are skipped;
-    /// results come back in rank order regardless of worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::SpaceTooLarge`] when the space holds more than
-    /// [`EXHAUSTIVE_LIMIT`] designs, [`ExploreError::Arch`] on the first
-    /// real builder fault in rank order.
-    pub fn par_evaluate_space(
-        &self,
-        space: &CustomSpace,
-        workers: usize,
-    ) -> Result<Vec<CustomPoint>, ExploreError> {
-        let size = space.size();
-        if size > EXHAUSTIVE_LIMIT {
-            return Err(ExploreError::SpaceTooLarge {
-                size,
-                limit: EXHAUSTIVE_LIMIT,
-            });
-        }
-        let workers = resolve_workers(workers);
-        let walk_shard = |(start, end): (u128, u128)| -> Result<Vec<CustomPoint>, ArchError> {
-            let iter = space
-                .designs_from(start)
-                .expect("shard start is within the space");
-            let mut scratch = EvalScratch::new();
-            let mut out = Vec::new();
-            for design in iter.take((end - start) as usize) {
-                if let Some(p) = self.custom_summary_cell(&design, &mut scratch)? {
-                    out.push(p);
-                }
-            }
-            Ok(out)
-        };
-        let shards = space.shards(workers).expect("size fits u128");
-        let mut out = Vec::new();
-        for r in run_chunks(shards, walk_shard) {
-            out.extend(r?);
-        }
-        Ok(out)
-    }
 }
 
 /// Indices of the non-dominated items, computed with per-worker local
@@ -450,39 +421,6 @@ mod tests {
             for (a, b) in serial.iter().zip(&par) {
                 assert_eq!(a.summary, b.summary);
             }
-        }
-    }
-
-    #[test]
-    fn exhaustive_evaluation_matches_serial_and_covers_the_space() {
-        let m = zoo::mobilenet_v2();
-        let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let space = CustomSpace {
-            max_fuse_depth: 1,
-            layers: m.conv_layer_count(),
-            min_ces: 2,
-            max_ces: 3,
-        };
-        let serial = e.par_evaluate_space(&space, 1).unwrap();
-        assert!(!serial.is_empty());
-        assert!(serial.len() as u128 <= space.size());
-        for workers in [2usize, 4] {
-            let par = e.par_evaluate_space(&space, workers).unwrap();
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn oversized_space_is_rejected() {
-        let m = zoo::xception();
-        let e = Explorer::new(&m, &FpgaBoard::vcu110());
-        let space = CustomSpace::paper_range(74); // ~10^11 designs
-        match e.par_evaluate_space(&space, 2) {
-            Err(ExploreError::SpaceTooLarge { size, limit }) => {
-                assert!(size > limit);
-                assert_eq!(limit, EXHAUSTIVE_LIMIT);
-            }
-            other => panic!("expected SpaceTooLarge, got {other:?}"),
         }
     }
 

@@ -294,11 +294,14 @@ impl CacheStats {
 }
 
 /// Bounded per-island cache of [`SegmentCost`]s keyed by `SegKey`,
-/// plus the reusable staging buffers of the delta path (one `SegCache`
-/// per island/worker — it is not shared across threads, which keeps
-/// eviction order deterministic per island).
-#[derive(Debug, Default)]
+/// plus the explorer's sweep-invariant terms and the reusable staging
+/// buffers of the delta path (one `SegCache` per island/worker — it is
+/// not shared across threads, which keeps eviction order deterministic
+/// per island).
+#[derive(Debug)]
 pub struct SegCache {
+    /// Sweep-invariant inputs of the explorer this cache was built for.
+    ctx: DeltaContext,
     map: HashMap<SegKey, SegmentCost, FxBuildHasher>,
     fifo: VecDeque<SegKey>,
     /// Rendered notation strings per design — `notation::format` costs
@@ -326,9 +329,28 @@ pub struct SegCache {
 }
 
 impl SegCache {
-    /// Creates an empty cache (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty cache for `explorer`'s model, board, and builder
+    /// options (buffers grow on first use). The cache serves
+    /// [`Explorer::custom_summary_delta`] calls on that explorer only.
+    pub fn new(explorer: &Explorer) -> Self {
+        Self {
+            ctx: DeltaContext::new(explorer),
+            map: HashMap::default(),
+            fifo: VecDeque::new(),
+            notations: HashMap::default(),
+            ctxs: HashMap::default(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            delta_recombines: 0,
+            full_builds: 0,
+            workloads: Vec::new(),
+            allocs: Vec::new(),
+            inter: Vec::new(),
+            keys: Vec::new(),
+            staged: Vec::new(),
+            costs: Vec::new(),
+        }
     }
 
     /// Cached segment entries currently held.
@@ -369,12 +391,12 @@ impl SegCache {
 }
 
 /// Sweep-invariant inputs of the delta path for one `(CNN, board)` pair,
-/// precomputed once per optimizer run: MAC prefix sums for the PE split,
+/// precomputed once per [`SegCache`]: MAC prefix sums for the PE split,
 /// per-layer handoff sizes, and the board/config terms of
 /// [`DesignCoupling`]. Uses the default [`ModelConfig`] — the same
 /// configuration `Explorer::custom_summary_cell` evaluates under.
-#[derive(Debug, Clone)]
-pub struct DeltaContext {
+#[derive(Debug)]
+struct DeltaContext {
     /// `mac_prefix[i]` = Σ MACs of layers `0..i` (length `n + 1`).
     mac_prefix: Vec<u64>,
     /// Handoff buffer need after layer `l`: 2 × its OFM bytes (custom
@@ -392,7 +414,7 @@ pub struct DeltaContext {
 impl DeltaContext {
     /// Precomputes the context for `explorer`'s model, board, and builder
     /// options.
-    pub fn new(explorer: &Explorer) -> Self {
+    fn new(explorer: &Explorer) -> Self {
         let config = ModelConfig::default();
         let convs = explorer.model().conv_view();
         let board = explorer.builder().board();
@@ -433,9 +455,8 @@ impl Explorer {
     /// `Ok(None)` when infeasible, `Err` on real faults — **bit-identical
     /// to the full path in all three cases, for any cache state**.
     ///
-    /// `ctx` must have been built from this explorer (same model, board,
-    /// precision, builder options), and `cache` must not be shared across
-    /// explorers with different contexts.
+    /// `cache` must have been built from this explorer (same model,
+    /// board, precision, builder options) by [`SegCache::new`].
     ///
     /// # Errors
     ///
@@ -443,10 +464,10 @@ impl Explorer {
     pub fn custom_summary_delta(
         &self,
         design: &CustomDesign,
-        ctx: &DeltaContext,
         cache: &mut SegCache,
         scratch: &mut EvalScratch,
     ) -> Result<Option<CustomPoint>, ArchError> {
+        let ctx = &cache.ctx;
         let spec = match design.to_spec(self.model()) {
             Ok(spec) => spec,
             Err(ArchError::Infeasible { .. }) => return Ok(None),
@@ -761,8 +782,7 @@ mod tests {
     fn delta_matches_full_on_sampled_designs_bit_for_bit() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let ctx = DeltaContext::new(&e);
-        let mut cache = SegCache::new();
+        let mut cache = SegCache::new(&e);
         let mut scratch = EvalScratch::new();
         let mut scratch_full = EvalScratch::new();
         let space = e.paper_space().with_max_fuse_depth(3);
@@ -770,7 +790,7 @@ mod tests {
         for _ in 0..200 {
             let d = sampler.sample();
             let delta = e
-                .custom_summary_delta(&d, &ctx, &mut cache, &mut scratch)
+                .custom_summary_delta(&d, &mut cache, &mut scratch)
                 .unwrap();
             let full = e.custom_summary_cell(&d, &mut scratch_full).unwrap();
             assert_eq!(
@@ -788,8 +808,7 @@ mod tests {
     fn warm_cache_recombines_without_building() {
         let m = zoo::mobilenet_v2();
         let e = Explorer::new(&m, &FpgaBoard::zc706());
-        let ctx = DeltaContext::new(&e);
-        let mut cache = SegCache::new();
+        let mut cache = SegCache::new(&e);
         let mut scratch = EvalScratch::new();
         let d = CustomDesign {
             head_layers: 3,
@@ -797,13 +816,13 @@ mod tests {
             schedule: Schedule::LayerByLayer,
         };
         let cold = e
-            .custom_summary_delta(&d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(&d, &mut cache, &mut scratch)
             .unwrap()
             .unwrap();
         assert_eq!(cache.stats().full_builds, 1);
         assert_eq!(cache.stats().delta_recombines, 0);
         let warm = e
-            .custom_summary_delta(&d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(&d, &mut cache, &mut scratch)
             .unwrap()
             .unwrap();
         assert_eq!(cache.stats().full_builds, 1, "warm revisit must not build");
@@ -817,8 +836,7 @@ mod tests {
         let m = zoo::mobilenet_v2();
         let tiny = FpgaBoard::new("tiny", 3, mccm_fpga::MiB(0.5), 1.0);
         let e = Explorer::new(&m, &tiny);
-        let ctx = DeltaContext::new(&e);
-        let mut cache = SegCache::new();
+        let mut cache = SegCache::new(&e);
         let mut scratch = EvalScratch::new();
         let d = CustomDesign {
             head_layers: 3,
@@ -826,7 +844,7 @@ mod tests {
             schedule: Schedule::LayerByLayer,
         };
         assert_eq!(
-            e.custom_summary_delta(&d, &ctx, &mut cache, &mut scratch)
+            e.custom_summary_delta(&d, &mut cache, &mut scratch)
                 .unwrap(),
             None
         );

@@ -61,7 +61,7 @@ pub struct CustomSpace {
     pub max_ces: usize,
     /// Largest depth-first fuse depth the schedule axis may take. `1`
     /// (the default everywhere) disables the axis: every design is
-    /// layer-by-layer and the space, its enumeration order, and the
+    /// layer-by-layer and the space, its sampling stream, and the
     /// optimizer's RNG streams are exactly the pre-schedule ones.
     /// `d ≥ 2` adds `d - 1` depth-first variants (fuse depths `2..=d`)
     /// per structural design.
@@ -92,7 +92,7 @@ impl CustomSpace {
         self.max_fuse_depth.max(1)
     }
 
-    /// The schedule at enumeration index `index`: `0` is layer-by-layer,
+    /// The schedule at axis index `index`: `0` is layer-by-layer,
     /// `s ≥ 1` is depth-first with fuse depth `s + 1` (depth-first with
     /// fuse depth 1 is excluded — it is bit-identical to layer-by-layer
     /// and would duplicate every structural design).
@@ -106,18 +106,13 @@ impl CustomSpace {
         }
     }
 
-    /// Inverse of [`Self::schedule_at`] within this space's axis; `None`
-    /// for schedules outside the space (fuse depth 1, or beyond
-    /// `max_fuse_depth`).
-    pub(crate) fn schedule_index(&self, schedule: Schedule) -> Option<usize> {
+    /// Whether `schedule` lies on this space's axis: layer-by-layer, or
+    /// depth-first with a fuse depth in `2..=max_fuse_depth`.
+    fn on_axis(&self, schedule: Schedule) -> bool {
         match schedule {
-            Schedule::LayerByLayer => Some(0),
+            Schedule::LayerByLayer => true,
             Schedule::DepthFirst { fuse_depth } => {
-                if (2..=self.schedule_choices()).contains(&fuse_depth) {
-                    Some(fuse_depth - 1)
-                } else {
-                    None
-                }
+                (2..=self.schedule_choices()).contains(&fuse_depth)
             }
         }
     }
@@ -143,7 +138,7 @@ impl CustomSpace {
         if h < 1 || h + 1 > n {
             return false;
         }
-        if self.schedule_index(design.schedule).is_none() {
+        if !self.on_axis(design.schedule) {
             return false;
         }
         let k = design.ce_count();
@@ -265,71 +260,6 @@ impl CustomSpace {
             child
         } else {
             a.clone()
-        }
-    }
-
-    /// Deterministic **repair-toward-feasibility**: clamps an arbitrary
-    /// design to a nearby well-formed member of this space. Members pass
-    /// through untouched (and operator outputs are always members, so on
-    /// today's operators this is a verified no-op — it exists as the
-    /// optimizer's safety net so a future operator emitting an off-space
-    /// child costs one repaired evaluation instead of a wasted budget
-    /// draw or a panic). No RNG: repair is a pure function of the input,
-    /// which keeps optimizer RNG streams and worker invariance intact.
-    ///
-    /// Repair steps, in order: head clamped to `[1, min(layers, max_ces)
-    /// - 1]`; off-axis schedules snapped to layer-by-layer; boundaries
-    /// deduplicated, sorted, confined to `(head, layers)`; the terminal
-    /// boundary pinned to the layer count; highest interior boundaries
-    /// dropped while over `max_ces`; smallest free positions inserted
-    /// while under `min_ces`. Falls back to a clone of the input only
-    /// when no member exists nearby (e.g. fewer layers than `min_ces`).
-    pub fn repair(&self, design: &CustomDesign) -> CustomDesign {
-        if self.contains(design) {
-            return design.clone();
-        }
-        let n = self.layers;
-        if n < 2 || self.max_ces < 2 {
-            return design.clone();
-        }
-        let head = design.head_layers.clamp(1, n.min(self.max_ces) - 1);
-        let schedule = if self.schedule_index(design.schedule).is_some() {
-            design.schedule
-        } else {
-            Schedule::LayerByLayer
-        };
-        let mut interior: Vec<usize> = design
-            .interior()
-            .iter()
-            .copied()
-            .filter(|&e| e > head && e < n)
-            .collect();
-        interior.sort_unstable();
-        interior.dedup();
-        let min_segs = self.min_ces.saturating_sub(head).max(1);
-        let max_segs = self.max_ces - head;
-        while interior.len() + 1 > max_segs {
-            interior.pop();
-        }
-        let mut candidate = head + 1;
-        while interior.len() + 1 < min_segs && candidate < n {
-            if !interior.contains(&candidate) {
-                let at = interior.partition_point(|&e| e < candidate);
-                interior.insert(at, candidate);
-            }
-            candidate += 1;
-        }
-        let mut tail_ends = interior;
-        tail_ends.push(n);
-        let repaired = CustomDesign {
-            head_layers: head,
-            tail_ends,
-            schedule,
-        };
-        if self.contains(&repaired) {
-            repaired
-        } else {
-            design.clone()
         }
     }
 
@@ -597,6 +527,69 @@ mod tests {
     }
 
     #[test]
+    fn size_matches_a_brute_force_count_of_members() {
+        // An independent count: try every head length, boundary subset and
+        // schedule of a tiny space and count the designs `contains` accepts.
+        let schedules: Vec<Schedule> = std::iter::once(Schedule::LayerByLayer)
+            .chain((1..=4).map(|fuse_depth| Schedule::DepthFirst { fuse_depth }))
+            .collect();
+        let mut nonempty = 0usize;
+        for layers in [1usize, 2, 4, 7] {
+            for (min_ces, max_ces) in [(2usize, 2usize), (2, 3), (2, 5), (3, 11), (6, 11)] {
+                for max_fuse_depth in 1..=3 {
+                    let space = CustomSpace {
+                        layers,
+                        min_ces,
+                        max_ces,
+                        max_fuse_depth,
+                    };
+                    let mut members = 0u128;
+                    for head_layers in 0..=layers + 1 {
+                        for subset in 0u32..1 << (layers - 1) {
+                            let mut tail_ends: Vec<usize> =
+                                (1..layers).filter(|p| subset >> (p - 1) & 1 == 1).collect();
+                            tail_ends.push(layers);
+                            for &schedule in &schedules {
+                                let design = CustomDesign {
+                                    head_layers,
+                                    tail_ends: tail_ends.clone(),
+                                    schedule,
+                                };
+                                members += u128::from(space.contains(&design));
+                            }
+                        }
+                    }
+                    assert_eq!(space.size(), members, "{space:?}");
+                    nonempty += usize::from(members > 0);
+                }
+            }
+        }
+        assert!(nonempty >= 20, "only {nonempty} non-empty spaces checked");
+    }
+
+    #[test]
+    fn operators_emit_members_on_the_schedule_axis() {
+        // The optimizer evaluates operator outputs as they come (it only
+        // debug-asserts membership), so both operators must stay inside a
+        // schedule-extended space.
+        use rand::{rngs::StdRng, SeedableRng};
+        let space = CustomSpace::paper_range(74).with_max_fuse_depth(3);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut sampler = CustomSampler::new(space, 17);
+        for _ in 0..300 {
+            let a = sampler.sample();
+            let b = sampler.sample();
+            let m = space.mutate(&a, &mut rng);
+            let c = space.crossover(&a, &b, &mut rng);
+            assert!(space.contains(&m), "mutant of {a:?} left the space: {m:?}");
+            assert!(
+                space.contains(&c),
+                "child of {a:?} x {b:?} left the space: {c:?}"
+            );
+        }
+    }
+
+    #[test]
     fn contains_accepts_members_and_rejects_malformed_designs() {
         let space = CustomSpace::paper_range(74);
         let ok = CustomDesign {
@@ -647,117 +640,6 @@ mod tests {
             head_layers: 0,
             tail_ends: vec![10, 74]
         }));
-    }
-
-    #[test]
-    fn repair_passes_members_through_and_fixes_malformed_designs() {
-        let space = CustomSpace::paper_range(74).with_max_fuse_depth(3);
-        let member = CustomDesign {
-            schedule: mccm_arch::Schedule::LayerByLayer,
-            head_layers: 3,
-            tail_ends: vec![20, 52, 74],
-        };
-        assert_eq!(space.repair(&member), member);
-        // Every kind of damage, repaired into a member.
-        let broken = [
-            // Headless.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::LayerByLayer,
-                head_layers: 0,
-                tail_ends: vec![20, 74],
-            },
-            // Head past the CE cap.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::LayerByLayer,
-                head_layers: 40,
-                tail_ends: vec![74],
-            },
-            // Unsorted, duplicated, out-of-range boundaries; wrong
-            // terminal.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::LayerByLayer,
-                head_layers: 3,
-                tail_ends: vec![52, 20, 20, 2, 90],
-            },
-            // Too many CEs.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::LayerByLayer,
-                head_layers: 6,
-                tail_ends: (7..=11).chain(std::iter::once(74)).collect(),
-            },
-            // Off-axis schedules: fuse depth 1 (excluded duplicate) and
-            // a depth past the axis cap.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::DepthFirst { fuse_depth: 1 },
-                head_layers: 3,
-                tail_ends: vec![20, 74],
-            },
-            CustomDesign {
-                schedule: mccm_arch::Schedule::DepthFirst { fuse_depth: 9 },
-                head_layers: 3,
-                tail_ends: vec![20, 74],
-            },
-            // No tail at all.
-            CustomDesign {
-                schedule: mccm_arch::Schedule::LayerByLayer,
-                head_layers: 3,
-                tail_ends: vec![],
-            },
-        ];
-        for d in &broken {
-            let r = space.repair(d);
-            assert!(space.contains(&r), "repair of {d:?} invalid: {r:?}");
-            // Repair is idempotent.
-            assert_eq!(space.repair(&r), r);
-        }
-        // min_ces pressure: a 1-CE-tail design in a min_ces=4 space gains
-        // the smallest free boundaries.
-        let narrow = CustomSpace {
-            max_fuse_depth: 1,
-            layers: 10,
-            min_ces: 4,
-            max_ces: 6,
-        };
-        let thin = CustomDesign {
-            schedule: mccm_arch::Schedule::LayerByLayer,
-            head_layers: 1,
-            tail_ends: vec![10],
-        };
-        let r = narrow.repair(&thin);
-        assert!(narrow.contains(&r), "{r:?}");
-        assert_eq!(r.tail_ends, vec![2, 3, 10]);
-        // Hopeless inputs come back unchanged, honestly non-members.
-        let hopeless = CustomSpace {
-            max_fuse_depth: 1,
-            layers: 2,
-            min_ces: 5,
-            max_ces: 6,
-        };
-        let d = CustomDesign {
-            schedule: mccm_arch::Schedule::LayerByLayer,
-            head_layers: 1,
-            tail_ends: vec![2],
-        };
-        assert_eq!(hopeless.repair(&d), d);
-    }
-
-    #[test]
-    fn repair_never_fires_on_operator_outputs() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let space = CustomSpace::paper_range(74).with_max_fuse_depth(3);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut sampler = CustomSampler::new(space, 17);
-        for _ in 0..300 {
-            let a = sampler.sample();
-            let b = sampler.sample();
-            let m = space.mutate(&a, &mut rng);
-            let c = space.crossover(&a, &b, &mut rng);
-            // Operator outputs are already members, so repair must be an
-            // exact pass-through — the property that keeps the optimizer's
-            // repair hook trajectory-neutral.
-            assert_eq!(space.repair(&m), m);
-            assert_eq!(space.repair(&c), c);
-        }
     }
 
     #[test]

@@ -441,6 +441,13 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
             ("--retries", FlagKind::Value),
         ],
     )?;
+    if flags.value("--connect").is_none()
+        && (flags.value("--deadline-ms").is_some() || flags.value("--retries").is_some())
+    {
+        return Err(Error::Usage(
+            "`--deadline-ms` and `--retries` apply to `--connect` runs".into(),
+        ));
+    }
     if let Some(dir) = flags.value("--batch") {
         if !flags.positionals.is_empty() {
             return Err(Error::Usage(
@@ -465,13 +472,6 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
             "`--workers` shards `--batch` runs; set `workers` in the scenario file (or \
              `--set workers=N`) for a single run"
                 .into(),
-        ));
-    }
-    if flags.value("--connect").is_none()
-        && (flags.value("--deadline-ms").is_some() || flags.value("--retries").is_some())
-    {
-        return Err(Error::Usage(
-            "`--deadline-ms` and `--retries` apply to `--connect` runs".into(),
         ));
     }
     let [path] = flags.positionals.as_slice() else {

@@ -223,8 +223,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the address cannot be bound.
+    /// [`Error::Usage`] when `config.workers` exceeds
+    /// [`crate::dse::max_workers`] (the cap scenario `workers` values are
+    /// clamped to), checked before anything is bound; [`Error::Io`] when
+    /// the address cannot be bound.
     pub fn bind(addr: &str, config: ServeConfig) -> Result<Self, Error> {
+        let cap = crate::dse::max_workers();
+        if config.workers > cap {
+            return Err(Error::Usage(format!(
+                "serve `workers` must be at most {cap} (4× the available cores), got {}",
+                config.workers
+            )));
+        }
         let listener =
             TcpListener::bind(addr).map_err(|e| Error::io(format!("binding {addr}"), e))?;
         let local = listener

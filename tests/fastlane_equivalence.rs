@@ -18,9 +18,7 @@ use mccm::core::{
     CeReport, CostModel, EvalScratch, EvalSummary, Evaluation, LayerReport, ModelConfig,
     PipelineLatencyMode, SegmentCost, SegmentReport,
 };
-use mccm::dse::{
-    sample_attempt, CustomDesign, CustomSampler, CustomSpace, DeltaContext, Explorer, SegCache,
-};
+use mccm::dse::{sample_attempt, CustomDesign, CustomSampler, CustomSpace, Explorer, SegCache};
 use mccm::fpga::FpgaBoard;
 
 fn every_zoo_model() -> Vec<CnnModel> {
@@ -528,8 +526,7 @@ fn delta_evaluation_matches_full_over_seeded_mutation_chains() {
         (zoo::xception(), FpgaBoard::vcu110()),
     ] {
         let explorer = Explorer::new(&model, &board);
-        let ctx = DeltaContext::new(&explorer);
-        let mut cache = SegCache::new();
+        let mut cache = SegCache::new(&explorer);
         let mut scratch = EvalScratch::new();
         let mut scratch_full = EvalScratch::new();
         let space = explorer.paper_space().with_max_fuse_depth(3);
@@ -540,7 +537,7 @@ fn delta_evaluation_matches_full_over_seeded_mutation_chains() {
             for _ in 0..10 {
                 for pass in 0..2 {
                     let delta = explorer
-                        .custom_summary_delta(&design, &ctx, &mut cache, &mut scratch)
+                        .custom_summary_delta(&design, &mut cache, &mut scratch)
                         .unwrap();
                     let full = full_summary(&explorer, &design, &mut scratch_full);
                     assert_eq!(
@@ -622,8 +619,7 @@ proptest! {
         // full path at every step, whatever the cache holds.
         let model = zoo::mobilenet_v2();
         let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-        let ctx = DeltaContext::new(&explorer);
-        let mut cache = SegCache::new();
+        let mut cache = SegCache::new(&explorer);
         let mut scratch = EvalScratch::new();
         let mut scratch_full = EvalScratch::new();
         let space = explorer.paper_space().with_max_fuse_depth(4);
@@ -631,7 +627,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         for _ in 0..chain {
             let delta = explorer
-                .custom_summary_delta(&design, &ctx, &mut cache, &mut scratch)
+                .custom_summary_delta(&design, &mut cache, &mut scratch)
                 .unwrap();
             let full = full_summary(&explorer, &design, &mut scratch_full);
             prop_assert_eq!(delta.map(|p| p.summary), full);

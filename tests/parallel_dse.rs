@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use mccm::cnn::zoo;
 use mccm::core::{Bytes, EvalSummary, Macs, Metric};
-use mccm::dse::{
-    default_max_attempts, par_pareto_indices, CustomSpace, ExploreError, Explorer, ParetoFront,
-};
+use mccm::dse::{default_max_attempts, par_pareto_indices, ExploreError, Explorer, ParetoFront};
 use mccm::fpga::{FpgaBoard, MiB};
 
 fn summary(latency_ms: u64, fps: u64, buf: u64, traffic: u64) -> EvalSummary {
@@ -124,32 +122,6 @@ fn parallel_baseline_sweep_matches_serial() {
             assert_eq!((a.architecture, a.ces), (b.architecture, b.ces));
             assert_eq!(a.eval, b.eval);
         }
-    }
-}
-
-#[test]
-fn exhaustive_tiny_space_is_complete_and_worker_invariant() {
-    let model = zoo::mobilenet_v2();
-    let explorer = Explorer::new(&model, &FpgaBoard::zc706());
-    let space = CustomSpace {
-        max_fuse_depth: 1,
-        layers: model.conv_layer_count(),
-        min_ces: 2,
-        max_ces: 3,
-    };
-    let serial = explorer.par_evaluate_space(&space, 1).unwrap();
-    // Every enumerated design is distinct and the sweep covers the space
-    // (minus infeasible designs).
-    let notations: std::collections::HashSet<_> =
-        serial.iter().map(|p| p.summary.notation.clone()).collect();
-    assert_eq!(notations.len(), serial.len());
-    assert!(serial.len() as u128 <= space.size());
-    assert!(!serial.is_empty());
-    for workers in [2usize, 3, 8] {
-        assert_eq!(
-            explorer.par_evaluate_space(&space, workers).unwrap(),
-            serial
-        );
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use mccm::cnn::zoo;
 use mccm::core::EvalScratch;
-use mccm::dse::{CustomSampler, DeltaContext, Explorer, SegCache};
+use mccm::dse::{CustomSampler, Explorer, SegCache};
 use mccm::fpga::FpgaBoard;
 
 const DESIGNS: usize = 2_000;
@@ -50,8 +50,7 @@ fn warm_delta_evaluation_outruns_full_evaluation() {
     // the same machine, in the same process — no absolute ceiling.
     let model = zoo::xception();
     let explorer = Explorer::new(&model, &FpgaBoard::vcu110());
-    let ctx = DeltaContext::new(&explorer);
-    let mut cache = SegCache::new();
+    let mut cache = SegCache::new(&explorer);
     let mut scratch = EvalScratch::new();
     let space = explorer.paper_space();
     let mut designs = CustomSampler::new(space, 31).sample_many(400);
@@ -64,7 +63,7 @@ fn warm_delta_evaluation_outruns_full_evaluation() {
     // which both paths share).
     for d in &designs {
         explorer
-            .custom_summary_delta(d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(d, &mut cache, &mut scratch)
             .unwrap();
     }
     let full_start = Instant::now();
@@ -79,7 +78,7 @@ fn warm_delta_evaluation_outruns_full_evaluation() {
     let mut delta_acc = 0u64;
     for d in &designs {
         let p = explorer
-            .custom_summary_delta(d, &ctx, &mut cache, &mut scratch)
+            .custom_summary_delta(d, &mut cache, &mut scratch)
             .unwrap()
             .unwrap();
         delta_acc = delta_acc.wrapping_add(p.summary.total_macs.get());

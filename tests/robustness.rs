@@ -310,6 +310,41 @@ mod serve_suite {
     }
 
     #[test]
+    fn worker_counts_above_the_cap_are_rejected_before_binding() {
+        // Scenario `workers` is capped at 4× the available cores; a daemon
+        // must refuse more than that up front. `bind` starts no thread,
+        // and an unparseable address still yields the usage error, so the
+        // check runs before any listener is attempted.
+        let cores = std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1);
+        let cap = 4 * cores;
+        assert_eq!(mccm::dse::max_workers(), cap);
+        for workers in [cap + 1, 1_000_000, usize::MAX] {
+            let config = ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            };
+            for addr in ["127.0.0.1:0", "not an address"] {
+                match Server::bind(addr, config.clone()) {
+                    Err(Error::Usage(detail)) => {
+                        assert!(detail.contains("workers"), "{detail}");
+                        assert!(detail.contains(&cap.to_string()), "{detail}");
+                    }
+                    Err(other) => panic!("workers = {workers} at `{addr}`: {other:?}"),
+                    Ok(_) => panic!("workers = {workers} was accepted"),
+                }
+            }
+        }
+        // The cap itself binds; dropping the unstarted server spawns nothing.
+        let at_cap = ServeConfig {
+            workers: cap,
+            ..ServeConfig::default()
+        };
+        assert!(Server::bind("127.0.0.1:0", at_cap).is_ok());
+    }
+
+    #[test]
     fn warm_server_bytes_match_a_local_run_exactly() {
         let (addr, handle) = start_server(ServeConfig::default());
         let scenario = Scenario::from_json_str(&evaluate_scenario_json()).unwrap();

@@ -436,6 +436,39 @@ fn unknown_and_duplicate_flags_are_regression_locked() {
     assert_eq!(err.exit_code(), 2, "{err}");
 }
 
+#[test]
+fn batch_runs_reject_remote_only_flags() {
+    // `--deadline-ms` and `--retries` only mean something with
+    // `--connect`, which `--batch` refuses: a batch run must reject them
+    // with the same usage error a single-file run gets, not ignore them.
+    let tmp = std::env::temp_dir().join(format!("mccm-batch-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    std::fs::write(
+        tmp.join("evaluate.json"),
+        r#"{"model": {"zoo": "mobilenetv2"}, "board": {"builtin": "zc706"},
+            "action": {"evaluate": {"template": "segmented", "ces": 3}}}"#,
+    )
+    .unwrap();
+    let dir = tmp.to_string_lossy().into_owned();
+    let single = run_cli(&["run", &example_scenario("evaluate.json"), "--retries", "9"])
+        .unwrap_err()
+        .to_string();
+    for flags in [
+        &["--deadline-ms", "5"][..],
+        &["--retries", "9"],
+        &["--deadline-ms", "5", "--retries", "9"],
+    ] {
+        let args: Vec<&str> = ["run", "--batch", &dir]
+            .into_iter()
+            .chain(flags.iter().copied())
+            .collect();
+        let err = run_cli(&args).unwrap_err();
+        assert!(matches!(err, Error::Usage(_)), "{flags:?}: {err:?}");
+        assert_eq!(err.to_string(), single, "{flags:?}");
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 /// `mccm run --connect` against a daemon prints exactly the bytes of a
 /// local `mccm run`, and `mccm stats` / `mccm shutdown` speak the same
 /// protocol through the CLI.
