@@ -30,6 +30,24 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! # Layout
+//!
+//! The public surface is [`Simulator`], [`SimConfig`] and [`SimResult`];
+//! the rest is private and free to change as long as results stay bit
+//! for bit the same (`tests/digest.rs` pins every result field over a
+//! grid of designs and configurations).
+//!
+//! - `workload` expands a built accelerator into one image's tile graph:
+//!   the tiles, their dependencies and their dependents as flat
+//!   offset/target tables, and each engine's tile order. It is built once
+//!   per run and shared by every simulated image.
+//! - `engine` holds the event queue, a small array scanned for the
+//!   earliest `(time, seq)` (it never holds more than one event per
+//!   engine plus one DMA transfer), and the FIFO DMA channel.
+//! - `sim` runs the image stream. All run state lives in the call, so
+//!   concurrent runs share nothing, and the loop allocates nothing per
+//!   event.
 
 #![warn(missing_docs)]
 
@@ -38,9 +56,8 @@ mod engine;
 mod result;
 #[allow(clippy::module_inception)]
 mod sim;
-pub mod workload;
+mod workload;
 
 pub use config::{SimConfig, SimConfigError};
-pub use engine::{Cycles, DmaChannel, Event, Events};
 pub use result::SimResult;
 pub use sim::Simulator;

@@ -6,7 +6,7 @@ use mccm_arch::BuiltAccelerator;
 use mccm_core::{CancelToken, Evaluation};
 
 use crate::config::SimConfig;
-use crate::engine::{Cycles, DmaChannel, Event, Events};
+use crate::engine::{Cycles, DmaChannel, Event, Events, Tile};
 use crate::workload::{build_tile_graph, graph_traffic, TileGraph};
 
 /// Internal per-tile dynamic state.
@@ -102,295 +102,26 @@ impl Simulator {
         let cfg = &self.config;
         let images = cfg.images.max(3);
         let per_image = graph.tiles.len();
-        let total = per_image * images;
-        let n_ces = acc.ces.len();
-
-        // Flatten deps across images.
-        let mut deps_remaining: Vec<u32> = vec![0; total];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let serialize_images = !acc.coarse_pipeline();
-        for img in 0..images {
-            let base = img * per_image;
-            for t in &graph.tiles {
-                let gid = base + t.id;
-                for &d in &t.deps {
-                    dependents[base + d].push(gid);
-                    deps_remaining[gid] += 1;
-                }
-                // Weight prefetches serialize across images (the block's
-                // weight buffers recycle per image).
-                if img > 0 && t.ce.is_none() {
-                    dependents[base - per_image + t.id].push(gid);
-                    deps_remaining[gid] += 1;
-                }
-            }
-            if serialize_images && img > 0 {
-                let gid = base; // first tile of this image
-                dependents[base - 1].push(gid);
-                deps_remaining[gid] += 1;
-            }
-        }
-
-        // Per-CE global execution order: images concatenated.
-        let mut ce_order: Vec<Vec<usize>> = vec![Vec::new(); n_ces];
-        for (ce, order) in graph.ce_order.iter().enumerate() {
-            for img in 0..images {
-                let base = img * per_image;
-                ce_order[ce].extend(order.iter().map(|&t| base + t));
-            }
-        }
-        let mut ce_next: Vec<usize> = vec![0; n_ces];
-        let mut ce_busy: Vec<bool> = vec![false; n_ces];
-
-        let mut state: Vec<TileState> = vec![TileState::Blocked; total];
-        let mut complete_time: Vec<Cycles> = vec![0; total];
-        let mut compute_start: Vec<Cycles> = vec![0; total];
-
-        let mut events = Events::new();
-        let mut dma = DmaChannel::new(acc.board.bytes_per_cycle(), cfg.dma_latency_cycles);
-        let mut event_count = 0u64;
-
-        // Tile readiness transition: deps met -> issue load or mark ready.
-        // Returns true if the tile's CE should be prodded.
-        fn on_deps_met(
-            gid: usize,
-            now: Cycles,
-            graph_tile: &crate::workload::TileSpec,
-            state: &mut [TileState],
-            dma: &mut DmaChannel,
-            events: &mut Events,
-            cfg: &SimConfig,
-        ) -> bool {
-            if graph_tile.load_bytes > 0 {
-                state[gid] = TileState::Loading;
-                dma.request(
-                    now,
-                    gid,
-                    false,
-                    cfg.burst_rounded(graph_tile.load_bytes),
-                    events,
-                );
-                false
-            } else {
-                state[gid] = TileState::Ready;
-                true
-            }
-        }
-
-        // Seed: all dep-free tiles at t = 0. (DMA-only tiles always carry a
-        // load, so readiness here means either a queued transfer or an
-        // engine-eligible tile.)
-        let mut prod_ces: Vec<usize> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for gid in 0..total {
-            if deps_remaining[gid] == 0 {
-                let t = &graph.tiles[gid % per_image];
-                debug_assert!(t.ce.is_some() || t.load_bytes > 0);
-                if on_deps_met(gid, 0, t, &mut state, &mut dma, &mut events, cfg) {
-                    if let Some(ce) = t.ce {
-                        prod_ces.push(ce);
-                    }
-                }
-            }
-        }
-
-        // Engine dispatch: start the head tile if it is ready.
-        let try_start = |ce: usize,
-                         now: Cycles,
-                         ce_next: &[usize],
-                         ce_busy: &mut [bool],
-                         state: &mut [TileState],
-                         compute_start: &mut [Cycles],
-                         events: &mut Events| {
-            if ce_busy[ce] {
-                return;
-            }
-            let Some(&gid) = ce_order[ce].get(ce_next[ce]) else {
-                return;
-            };
-            if state[gid] != TileState::Ready {
-                return;
-            }
-            let t = &graph.tiles[gid % per_image];
-            ce_busy[ce] = true;
-            state[gid] = TileState::Computing;
-            compute_start[gid] = now;
-            events.push(
-                now + t.compute_cycles + cfg.tile_overhead_cycles,
-                Event::CeDone { ce, tile: gid },
-            );
-        };
-
-        for ce in prod_ces {
-            try_start(
-                ce,
-                0,
-                &ce_next,
-                &mut ce_busy,
-                &mut state,
-                &mut compute_start,
-                &mut events,
-            );
-        }
-
-        // Completion: notify dependents, cascade readiness.
-        #[allow(clippy::too_many_arguments)]
-        fn complete(
-            gid: usize,
-            now: Cycles,
-            per_image: usize,
-            graph: &TileGraph,
-            deps_remaining: &mut [u32],
-            dependents: &[Vec<usize>],
-            state: &mut [TileState],
-            complete_time: &mut [Cycles],
-            dma: &mut DmaChannel,
-            events: &mut Events,
-            cfg: &SimConfig,
-            wake_ces: &mut Vec<usize>,
-        ) {
-            state[gid] = TileState::Done;
-            complete_time[gid] = now;
-            for &dep in &dependents[gid] {
-                deps_remaining[dep] -= 1;
-                if deps_remaining[dep] == 0 {
-                    let t = &graph.tiles[dep % per_image];
-                    if on_deps_met(dep, now, t, state, dma, events, cfg) {
-                        match t.ce {
-                            Some(ce) => wake_ces.push(ce),
-                            None => {
-                                // Zero-load prefetch: completes immediately.
-                                complete(
-                                    dep,
-                                    now,
-                                    per_image,
-                                    graph,
-                                    deps_remaining,
-                                    dependents,
-                                    state,
-                                    complete_time,
-                                    dma,
-                                    events,
-                                    cfg,
-                                    wake_ces,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut run = Run::new(acc, graph, cfg, images);
 
         // Cooperative cancellation checkpoint: one relaxed flag load per
         // slice of events, cheap enough to leave the hot loop's timing
         // behavior (and thus every completed result byte) untouched.
         const CANCEL_SLICE: u64 = 1024;
 
+        let mut event_count = 0u64;
         let mut last_time = 0;
-        while let Some((now, event)) = events.pop() {
+        while let Some((now, event)) = run.events.pop() {
             if event_count.is_multiple_of(CANCEL_SLICE) && cancel.is_cancelled() {
                 return None;
             }
             event_count += 1;
             last_time = now;
-            let mut wake: Vec<usize> = Vec::new();
-            match event {
-                Event::DmaDone { tile: gid, store } => {
-                    dma.on_done(now, &mut events);
-                    let t = &graph.tiles[gid % per_image];
-                    if store {
-                        complete(
-                            gid,
-                            now,
-                            per_image,
-                            graph,
-                            &mut deps_remaining,
-                            &dependents,
-                            &mut state,
-                            &mut complete_time,
-                            &mut dma,
-                            &mut events,
-                            cfg,
-                            &mut wake,
-                        );
-                        if let Some(ce) = t.ce {
-                            wake.push(ce);
-                        }
-                    } else {
-                        match t.ce {
-                            Some(ce) => {
-                                state[gid] = TileState::Ready;
-                                wake.push(ce);
-                            }
-                            None => {
-                                // Prefetch transfer done.
-                                complete(
-                                    gid,
-                                    now,
-                                    per_image,
-                                    graph,
-                                    &mut deps_remaining,
-                                    &dependents,
-                                    &mut state,
-                                    &mut complete_time,
-                                    &mut dma,
-                                    &mut events,
-                                    cfg,
-                                    &mut wake,
-                                );
-                            }
-                        }
-                    }
-                }
-                Event::CeDone { ce, tile: gid } => {
-                    ce_busy[ce] = false;
-                    ce_next[ce] += 1;
-                    let t = &graph.tiles[gid % per_image];
-                    if t.store_bytes > 0 {
-                        state[gid] = TileState::Storing;
-                        dma.request(
-                            now,
-                            gid,
-                            true,
-                            cfg.burst_rounded(t.store_bytes),
-                            &mut events,
-                        );
-                    } else {
-                        complete(
-                            gid,
-                            now,
-                            per_image,
-                            graph,
-                            &mut deps_remaining,
-                            &dependents,
-                            &mut state,
-                            &mut complete_time,
-                            &mut dma,
-                            &mut events,
-                            cfg,
-                            &mut wake,
-                        );
-                    }
-                    wake.push(ce);
-                }
-            }
-            wake.sort_unstable();
-            wake.dedup();
-            for ce in wake {
-                try_start(
-                    ce,
-                    now,
-                    &ce_next,
-                    &mut ce_busy,
-                    &mut state,
-                    &mut compute_start,
-                    &mut events,
-                );
-            }
+            run.step(now, event);
         }
 
         debug_assert!(
-            state.iter().all(|&s| s == TileState::Done),
+            run.state.iter().all(|&s| s == TileState::Done),
             "simulation drained with unfinished tiles"
         );
 
@@ -398,8 +129,9 @@ impl Simulator {
         let cyc = acc.board.cycle_time_s();
         let image_done = |img: usize| -> Cycles {
             let base = img * per_image;
-            (base..base + per_image)
-                .map(|g| complete_time[g])
+            run.complete_time[base..base + per_image]
+                .iter()
+                .copied()
                 .max()
                 .unwrap_or(0)
         };
@@ -418,13 +150,13 @@ impl Simulator {
         // Segment windows of the first image.
         let n_segments = acc.segments.len();
         let mut windows = vec![(Cycles::MAX, 0 as Cycles); n_segments];
-        for t in &graph.tiles {
+        for (id, t) in graph.tiles.iter().enumerate() {
             if t.ce.is_none() {
                 continue;
             }
             let w = &mut windows[t.segment];
-            w.0 = w.0.min(compute_start[t.id]);
-            w.1 = w.1.max(complete_time[t.id]);
+            w.0 = w.0.min(run.compute_start[id]);
+            w.1 = w.1.max(run.complete_time[id]);
         }
         let segment_windows = windows
             .into_iter()
@@ -442,7 +174,7 @@ impl Simulator {
             dma_utilization: if last_time == 0 {
                 0.0
             } else {
-                dma.busy_cycles as f64 / last_time as f64
+                run.dma.busy_cycles as f64 / last_time as f64
             },
             events: event_count,
             images,
@@ -469,5 +201,247 @@ impl Simulator {
             }
         }
         total
+    }
+}
+
+/// The state of one simulation run over `images` copies of a tile graph,
+/// owned by the call that simulates: nothing is shared between runs.
+///
+/// Tiles are numbered image after image (see [`Tile`]). Besides the
+/// graph's within-image edges, two kinds of edge cross into the next
+/// image, derived on the fly rather than stored:
+/// - a weight prefetch waits for the same prefetch of the previous image
+///   (the block's weight buffers recycle per image);
+/// - without coarse pipelining, an image's first tile waits for the
+///   previous image's last.
+///
+/// No tile is the source of both. A completed tile releases its
+/// within-image dependents first, then its cross-edge target. That order
+/// decides which of several released loads an idle DMA channel starts
+/// first, so results depend on it (`tests/digest.rs` pins them).
+struct Run<'a> {
+    graph: &'a TileGraph,
+    cfg: &'a SimConfig,
+    per_image: usize,
+    images: usize,
+    serialize_images: bool,
+    /// Unfinished dependencies per global tile.
+    deps_remaining: Vec<u32>,
+    state: Vec<TileState>,
+    complete_time: Vec<Cycles>,
+    /// Compute start times of the first image's tiles.
+    compute_start: Vec<Cycles>,
+    /// Per engine, `(image, index into its ce_order)` of its next tile.
+    ce_next: Vec<(usize, usize)>,
+    ce_busy: Vec<bool>,
+    events: Events,
+    dma: DmaChannel,
+    /// Engines to prod after the current event.
+    wake: Vec<usize>,
+}
+
+impl<'a> Run<'a> {
+    /// Lays out the run and issues every dependency-free tile at t = 0.
+    fn new(
+        acc: &BuiltAccelerator,
+        graph: &'a TileGraph,
+        cfg: &'a SimConfig,
+        images: usize,
+    ) -> Self {
+        let per_image = graph.tiles.len();
+        let total = per_image * images;
+        let n_ces = acc.ces.len();
+        let serialize_images = !acc.coarse_pipeline();
+        let mut deps_remaining = Vec::with_capacity(total);
+        for img in 0..images {
+            for (id, t) in graph.tiles.iter().enumerate() {
+                let mut n = graph.deps.row(id).len();
+                if img > 0 {
+                    // A first-tile prefetch waits on both cross edges.
+                    n += usize::from(t.ce.is_none()) + usize::from(serialize_images && id == 0);
+                }
+                deps_remaining.push(n as u32);
+            }
+        }
+        let mut run = Self {
+            graph,
+            cfg,
+            per_image,
+            images,
+            serialize_images,
+            deps_remaining,
+            state: vec![TileState::Blocked; total],
+            complete_time: vec![0; total],
+            compute_start: vec![0; per_image],
+            ce_next: vec![(0, 0); n_ces],
+            ce_busy: vec![false; n_ces],
+            events: Events::new(n_ces),
+            dma: DmaChannel::new(acc.board.bytes_per_cycle(), cfg.dma_latency_cycles),
+            wake: Vec::with_capacity(n_ces),
+        };
+
+        // Seed: all dep-free tiles at t = 0, then prod their engines in
+        // tile order. (DMA-only tiles always carry a load, so readiness
+        // here means either a queued transfer or an engine-eligible tile.)
+        for img in 0..images {
+            let base = img * per_image;
+            for (id, t) in graph.tiles.iter().enumerate() {
+                let tile = Tile { gid: base + id, id };
+                if run.deps_remaining[tile.gid] == 0 {
+                    debug_assert!(t.ce.is_some() || t.load_bytes > 0);
+                    if run.deps_met(tile, 0) {
+                        if let Some(ce) = t.ce {
+                            run.wake.push(ce);
+                        }
+                    }
+                }
+            }
+        }
+        for i in 0..run.wake.len() {
+            run.try_start(run.wake[i], 0);
+        }
+        run
+    }
+
+    /// Handles one popped event, then prods every woken engine in
+    /// ascending id order.
+    fn step(&mut self, now: Cycles, event: Event) {
+        let graph = self.graph;
+        self.wake.clear();
+        match event {
+            Event::DmaDone { tile, store } => {
+                self.dma.on_done(now, &mut self.events);
+                let t = &graph.tiles[tile.id];
+                if store {
+                    self.complete(tile, now);
+                    if let Some(ce) = t.ce {
+                        self.wake.push(ce);
+                    }
+                } else {
+                    match t.ce {
+                        Some(ce) => {
+                            self.state[tile.gid] = TileState::Ready;
+                            self.wake.push(ce);
+                        }
+                        // Prefetch transfer done.
+                        None => self.complete(tile, now),
+                    }
+                }
+            }
+            Event::CeDone { ce, tile } => {
+                self.ce_busy[ce] = false;
+                let next = &mut self.ce_next[ce];
+                next.1 += 1;
+                if next.1 == graph.ce_order[ce].len() {
+                    *next = (next.0 + 1, 0);
+                }
+                let t = &graph.tiles[tile.id];
+                if t.store_bytes > 0 {
+                    self.state[tile.gid] = TileState::Storing;
+                    let bytes = self.cfg.burst_rounded(t.store_bytes);
+                    self.dma.request(now, tile, true, bytes, &mut self.events);
+                } else {
+                    self.complete(tile, now);
+                }
+                self.wake.push(ce);
+            }
+        }
+        self.wake.sort_unstable();
+        self.wake.dedup();
+        for i in 0..self.wake.len() {
+            self.try_start(self.wake[i], now);
+        }
+    }
+
+    /// Tile readiness transition: deps met -> issue load or mark ready.
+    /// Returns true if the tile needs no load (its engine should be
+    /// prodded).
+    fn deps_met(&mut self, tile: Tile, now: Cycles) -> bool {
+        let load = self.graph.tiles[tile.id].load_bytes;
+        if load > 0 {
+            self.state[tile.gid] = TileState::Loading;
+            let bytes = self.cfg.burst_rounded(load);
+            self.dma.request(now, tile, false, bytes, &mut self.events);
+            false
+        } else {
+            self.state[tile.gid] = TileState::Ready;
+            true
+        }
+    }
+
+    /// Completion: notify dependents, cascade readiness.
+    fn complete(&mut self, tile: Tile, now: Cycles) {
+        let Tile { gid, id } = tile;
+        self.state[gid] = TileState::Done;
+        self.complete_time[gid] = now;
+        let graph = self.graph;
+        let base = gid - id;
+        for &dep in graph.dependents.row(id) {
+            self.release(
+                Tile {
+                    gid: base + dep,
+                    id: dep,
+                },
+                now,
+            );
+        }
+        let next_image = base + self.per_image;
+        if next_image < self.state.len() {
+            if graph.tiles[id].ce.is_none() {
+                self.release(
+                    Tile {
+                        gid: next_image + id,
+                        id,
+                    },
+                    now,
+                );
+            }
+            if self.serialize_images && gid + 1 == next_image {
+                self.release(
+                    Tile {
+                        gid: next_image,
+                        id: 0,
+                    },
+                    now,
+                );
+            }
+        }
+    }
+
+    /// One of `tile`'s dependencies completed.
+    fn release(&mut self, tile: Tile, now: Cycles) {
+        self.deps_remaining[tile.gid] -= 1;
+        if self.deps_remaining[tile.gid] == 0 && self.deps_met(tile, now) {
+            match self.graph.tiles[tile.id].ce {
+                Some(ce) => self.wake.push(ce),
+                // Zero-load prefetch: completes immediately.
+                None => self.complete(tile, now),
+            }
+        }
+    }
+
+    /// Engine dispatch: start the head tile if it is ready.
+    fn try_start(&mut self, ce: usize, now: Cycles) {
+        let (img, pos) = self.ce_next[ce];
+        if self.ce_busy[ce] || img == self.images {
+            return;
+        }
+        let Some(&id) = self.graph.ce_order[ce].get(pos) else {
+            return;
+        };
+        let tile = Tile {
+            gid: img * self.per_image + id,
+            id,
+        };
+        if self.state[tile.gid] != TileState::Ready {
+            return;
+        }
+        self.ce_busy[ce] = true;
+        self.state[tile.gid] = TileState::Computing;
+        if img == 0 {
+            self.compute_start[id] = now;
+        }
+        let done = now + self.graph.tiles[id].compute_cycles + self.cfg.tile_overhead_cycles;
+        self.events.push(done, Event::CeDone { ce, tile });
     }
 }

@@ -11,19 +11,17 @@
 //! pipeline fill/drain, and cross-image contention.
 
 use mccm_arch::{BuiltAccelerator, Executor};
-use mccm_core::{CostModel, Evaluation};
+use mccm_core::Evaluation;
 
 /// One unit of simulated work: an OFM row-tile (or a DMA-only prefetch).
 #[derive(Debug, Clone)]
-pub struct TileSpec {
-    /// Tile id (index into the image's tile list; deps always point to
-    /// lower ids).
-    pub id: usize,
+pub(crate) struct TileSpec {
     /// Executing engine; `None` for DMA-only prefetch tiles.
     pub ce: Option<usize>,
     /// Segment index.
     pub segment: usize,
     /// Conv-layer index (`usize::MAX` for prefetch tiles).
+    #[cfg_attr(not(test), allow(dead_code))]
     pub layer: usize,
     /// Bytes DMA-loaded before compute.
     pub load_bytes: u64,
@@ -33,15 +31,73 @@ pub struct TileSpec {
     pub compute_cycles: u64,
     /// Bytes DMA-stored after compute.
     pub store_bytes: u64,
-    /// Tiles that must complete before this tile's load may issue.
-    pub deps: Vec<usize>,
+}
+
+/// Rows of ids in one flat array (compressed sparse rows): row `i` is
+/// `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Appends `item` to the open (last) row.
+    fn push(&mut self, item: usize) {
+        self.items.push(item);
+    }
+
+    /// Closes the open row; the next `push` starts a new one.
+    fn end_row(&mut self) {
+        self.offsets.push(self.items.len());
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[usize] {
+        &self.items[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The reverse table over `n` rows: row `j` lists every `i` whose row
+    /// holds `j`, in ascending `i`, a repeated entry repeated.
+    fn transpose(&self, n: usize) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for &j in &self.items {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut cursor = offsets.clone();
+        let mut items = vec![0; self.items.len()];
+        for i in 0..self.offsets.len() - 1 {
+            for &j in self.row(i) {
+                items[cursor[j]] = i;
+                cursor[j] += 1;
+            }
+        }
+        Self { offsets, items }
+    }
 }
 
 /// A per-image tile graph plus indexing helpers.
 #[derive(Debug, Clone)]
-pub struct TileGraph {
-    /// Tiles in topological (construction) order.
+pub(crate) struct TileGraph {
+    /// Tiles in topological (construction) order; a tile's id is its
+    /// index.
     pub tiles: Vec<TileSpec>,
+    /// Per tile, the tiles that must complete before its load may issue
+    /// (always lower ids).
+    pub deps: Csr,
+    /// Per tile, the tiles that list it in their `deps`: ascending, one
+    /// entry per listing. The engine releases them in this order.
+    pub dependents: Csr,
     /// Tile ids per CE, in that engine's strict execution order.
     pub ce_order: Vec<Vec<usize>>,
 }
@@ -49,8 +105,9 @@ pub struct TileGraph {
 /// Builds the tile graph for one image, given the accelerator and its
 /// analytical evaluation (whose per-layer records carry the design-time
 /// traffic decisions).
-pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph {
+pub(crate) fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph {
     let mut tiles: Vec<TileSpec> = Vec::new();
+    let mut deps = Csr::new();
     let mut ce_order: Vec<Vec<usize>> = vec![Vec::new(); acc.ces.len()];
     // Last tile id of each conv layer (for producer row deps) and per
     // layer: the tile id producing row `r`.
@@ -96,7 +153,6 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                             poh
                         };
                         let id = tiles.len();
-                        let mut deps = Vec::new();
                         // Segment entry: first tile waits for the handoff.
                         if l == seg.first && t == 0 {
                             if let Some(p) = prev_segment_last {
@@ -120,7 +176,6 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                             (w_per, fml_per, st_per)
                         };
                         tiles.push(TileSpec {
-                            id,
                             ce: Some(*ce_id),
                             segment: seg.index,
                             layer: l,
@@ -130,8 +185,8 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                                 .parallelism
                                 .tile_latency_cycles(conv.dims, rows),
                             store_bytes: ls,
-                            deps,
                         });
+                        deps.end_row();
                         ce_order[*ce_id].push(id);
                         layer_row_tiles[l].push(id);
                     }
@@ -154,13 +209,10 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                     .sum();
                 let prefetch_id = if resident_bytes > 0 {
                     let id = tiles.len();
-                    let deps = prefetch_chain
-                        .get(&block_key)
-                        .copied()
-                        .into_iter()
-                        .collect();
+                    if let Some(&p) = prefetch_chain.get(&block_key) {
+                        deps.push(p);
+                    }
                     tiles.push(TileSpec {
-                        id,
                         ce: None,
                         segment: seg.index,
                         layer: usize::MAX,
@@ -168,8 +220,8 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                         load_split: (resident_bytes, 0),
                         compute_cycles: 0,
                         store_bytes: 0,
-                        deps,
                     });
+                    deps.end_row();
                     prefetch_chain.insert(block_key, id);
                     Some(id)
                 } else {
@@ -206,7 +258,6 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
 
                     for r in 0..oh {
                         let id = tiles.len();
-                        let mut deps = Vec::new();
                         if r == 0 {
                             if let Some(p) = prefetch_id {
                                 if resident[j] {
@@ -244,7 +295,6 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                             ifm_row_share
                         };
                         tiles.push(TileSpec {
-                            id,
                             ce: Some(ce_id),
                             segment: seg.index,
                             layer: l,
@@ -252,8 +302,8 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
                             load_split: (lw, ifm_share),
                             compute_cycles: row_lat,
                             store_bytes: store_row,
-                            deps,
                         });
+                        deps.end_row();
                         ce_order[ce_id].push(id);
                         layer_row_tiles[l].push(id);
                     }
@@ -265,9 +315,15 @@ pub fn build_tile_graph(acc: &BuiltAccelerator, eval: &Evaluation) -> TileGraph 
     }
 
     // Topological sanity: deps point backwards.
-    debug_assert!(tiles.iter().all(|t| t.deps.iter().all(|&d| d < t.id)));
+    debug_assert!((0..tiles.len()).all(|id| deps.row(id).iter().all(|&d| d < id)));
 
-    TileGraph { tiles, ce_order }
+    let dependents = deps.transpose(tiles.len());
+    TileGraph {
+        tiles,
+        deps,
+        dependents,
+        ce_order,
+    }
 }
 
 /// IFM rows layer `l` needs before producing through OFM row `r`.
@@ -279,7 +335,7 @@ fn rows_needed(acc: &BuiltAccelerator, l: usize, r: u32) -> u64 {
 }
 
 /// Per-image useful traffic of a tile graph: `(weights, fm_loads, fm_stores)`.
-pub fn graph_traffic(graph: &TileGraph) -> (u64, u64, u64) {
+pub(crate) fn graph_traffic(graph: &TileGraph) -> (u64, u64, u64) {
     let mut w = 0u64;
     let mut fl = 0u64;
     let mut fs = 0u64;
@@ -291,19 +347,20 @@ pub fn graph_traffic(graph: &TileGraph) -> (u64, u64, u64) {
     (w, fl, fs)
 }
 
-/// Convenience: evaluate + expand in one call.
-pub fn expand(acc: &BuiltAccelerator) -> (Evaluation, TileGraph) {
-    let eval = CostModel::evaluate(acc);
-    let graph = build_tile_graph(acc, &eval);
-    (eval, graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mccm_arch::{templates, MultipleCeBuilder};
     use mccm_cnn::zoo;
+    use mccm_core::CostModel;
     use mccm_fpga::FpgaBoard;
+
+    /// Evaluates `acc` and expands it in one call.
+    fn expand(acc: &BuiltAccelerator) -> (Evaluation, TileGraph) {
+        let eval = CostModel::evaluate(acc);
+        let graph = build_tile_graph(acc, &eval);
+        (eval, graph)
+    }
 
     fn build(arch: templates::Architecture, k: usize) -> (BuiltAccelerator, Evaluation, TileGraph) {
         let m = zoo::resnet50();
@@ -319,10 +376,26 @@ mod tests {
     fn deps_are_topological() {
         for arch in templates::Architecture::ALL {
             let (_, _, g) = build(arch, 4);
-            for t in &g.tiles {
-                assert!(t.deps.iter().all(|&d| d < t.id), "{arch}");
+            for id in 0..g.tiles.len() {
+                assert!(g.deps.row(id).iter().all(|&d| d < id), "{arch}");
             }
         }
+    }
+
+    #[test]
+    fn dependents_keep_ascending_order_and_repeats() {
+        // Rows: 0 -> [], 1 -> [0], 2 -> [0, 1], 3 -> [1, 1].
+        let mut deps = Csr::new();
+        for row in [&[][..], &[0], &[0, 1], &[1, 1]] {
+            for &d in row {
+                deps.push(d);
+            }
+            deps.end_row();
+        }
+        let dependents = deps.transpose(4);
+        assert_eq!(dependents.row(0), [1, 2]);
+        assert_eq!(dependents.row(1), [2, 3, 3]);
+        assert!(dependents.row(2).is_empty() && dependents.row(3).is_empty());
     }
 
     #[test]
